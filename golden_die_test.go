@@ -1,10 +1,11 @@
 package ramp_test
 
-// Golden equivalence for the manycore refactor, end to end at N=1: the
-// tiled one-core DieModel reproduces the single-core Model's solves bit
-// for bit on real evaluation data (so the results under results/golden/
-// are exactly what the tiled path computes), and a one-core DieEngine
-// reproduces a real evaluation's Assessment byte for byte.
+// Golden equivalence for the manycore path, end to end at N=1: the
+// flat-layout QuasiSteadyInto solve the scheduler uses reproduces the
+// evaluation's QuasiSteady solves bit for bit on real evaluation data
+// (so the results under results/golden/ are exactly what the die path
+// computes), and a one-core DieEngine reproduces a real evaluation's
+// Assessment byte for byte.
 import (
 	"testing"
 
@@ -30,10 +31,11 @@ func TestGoldenDieEquivalence(t *testing.T) {
 
 	die := floorplan.MustNewDie(env.FP, 1)
 
-	// Thermal: re-solving every epoch's stored power through the tiled
-	// one-core model matches the single-core model bitwise.
-	dm := thermal.MustNewDie(die, thermal.DieParams(env.Tech.AmbientK, 1))
-	out := make([]float64, dm.NumBlocks())
+	// Thermal: re-solving every epoch's stored power through the flat
+	// die layout of a one-core model matches the evaluation's solves
+	// bitwise.
+	dm := thermal.MustNew(die, thermal.DieParams(env.Tech.AmbientK, 1))
+	out := make([]float64, die.NumBlocks())
 	for i := range res.Epochs {
 		row := &res.Epochs[i]
 		want := env.Thermal.QuasiSteady(row.PowerW, res.SinkK)

@@ -144,7 +144,7 @@ func NewEnv(opts Options) *Env {
 		Base:    config.Base(),
 		FP:      fp,
 		Power:   power.NewModel(fp, tech),
-		Thermal: thermal.MustNew(fp, thermal.DefaultParams(tech.AmbientK)),
+		Thermal: thermal.MustNew(floorplan.MustNewDie(fp, 1), thermal.DefaultParams(tech.AmbientK)),
 		Params:  core.DefaultParams(core.TCAmbientK),
 		Opts:    opts,
 	}
@@ -159,7 +159,7 @@ func NewCustomEnv(tech config.Tech, base config.Proc, fp *floorplan.Floorplan, b
 		Base:    base,
 		FP:      fp,
 		Power:   power.NewModelWithBudget(fp, tech, budget),
-		Thermal: thermal.MustNew(fp, thermal.DefaultParams(tech.AmbientK)),
+		Thermal: thermal.MustNew(floorplan.MustNewDie(fp, 1), thermal.DefaultParams(tech.AmbientK)),
 		Params:  core.DefaultParams(core.TCAmbientK),
 		Opts:    opts,
 	}
@@ -532,19 +532,14 @@ func (e *Env) Requalify(r Result, qual core.Qualification) (core.Assessment, err
 	return engine.Assess()
 }
 
-// RequalifyAll requalifies every result against one qualification point
-// and returns the assessments in input order. Requalification is
+// RequalifyAllCtx requalifies every result against one qualification
+// point and returns the assessments in input order. Requalification is
 // independent per result (each call builds its own RAMP engine over
 // read-only epoch rows), so the batch runs on the same bounded worker
 // pool as EvaluateAll; a Select over a full ArchDVS sweep re-assesses
-// hundreds of candidates per T_qual and this is its hot loop.
-func (e *Env) RequalifyAll(results []Result, qual core.Qualification) ([]core.Assessment, error) {
-	return e.RequalifyAllCtx(context.Background(), results, qual)
-}
-
-// RequalifyAllCtx is RequalifyAll with cancellation: workers stop
-// picking up candidates once ctx is done and the batch returns ctx's
-// error instead of partial assessments.
+// hundreds of candidates per T_qual and this is its hot loop. Workers
+// stop picking up candidates once ctx is done and the batch returns
+// ctx's error instead of partial assessments.
 func (e *Env) RequalifyAllCtx(ctx context.Context, results []Result, qual core.Qualification) ([]core.Assessment, error) {
 	assessments := make([]core.Assessment, len(results))
 	errs := make([]error, len(results))

@@ -245,3 +245,13 @@ func TestQualificationUsesBaseOperatingPoint(t *testing.T) {
 		t.Fatalf("target FIT %v", q.TargetFIT)
 	}
 }
+
+// TestNewEnvAllocBudget bounds construction cost, which sits on several
+// benchmark and request paths: building the standard environment,
+// thermal model and its one-core die included, stays within 31
+// objects.
+func TestNewEnvAllocBudget(t *testing.T) {
+	if allocs := testing.AllocsPerRun(20, func() { NewEnv(QuickOptions()) }); allocs > 31 {
+		t.Fatalf("NewEnv allocates %v objects, budget 31", allocs)
+	}
+}

@@ -7,17 +7,12 @@ import (
 	"ramp/internal/trace"
 )
 
-// EvaluateSuite evaluates the full nine-application suite on the base
-// processor at one qualification point, returning results in the
+// EvaluateSuiteCtx evaluates the full nine-application suite on the
+// base processor at one qualification point, returning results in the
 // paper's suite order (trace.Apps). The manycore scheduler consumes
 // these per-application epoch rows as its workload profiles; everything
 // comes out of the evaluation cache, so a policy sweep over many die
-// sizes simulates each application exactly once.
-func (e *Env) EvaluateSuite(qual core.Qualification) ([]Result, error) {
-	return e.EvaluateSuiteCtx(context.Background(), qual)
-}
-
-// EvaluateSuiteCtx is EvaluateSuite with cancellation, delegating to
+// sizes simulates each application exactly once. The evaluations run on
 // EvaluateAllCtx's bounded worker pool.
 func (e *Env) EvaluateSuiteCtx(ctx context.Context, qual core.Qualification) ([]Result, error) {
 	apps := trace.Apps()

@@ -1,18 +1,19 @@
 package exp
 
 import (
+	"context"
 	"testing"
 
 	"ramp/internal/trace"
 )
 
-// TestEvaluateSuite checks the suite helper: nine results in paper
+// TestEvaluateSuite checks EvaluateSuiteCtx: nine results in paper
 // order, each matching a direct Evaluate of the same application (the
 // cache guarantees one simulation per app either way).
 func TestEvaluateSuite(t *testing.T) {
 	env := NewEnv(QuickOptions())
 	qual := env.Qualification(400)
-	results, err := env.EvaluateSuite(qual)
+	results, err := env.EvaluateSuiteCtx(context.Background(), qual)
 	if err != nil {
 		t.Fatal(err)
 	}

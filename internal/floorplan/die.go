@@ -62,6 +62,7 @@ func NewDie(base *Floorplan, n int) (*Die, error) {
 		}
 	}
 	cols := n / rows
+	off := make([]float64, 2*n)
 	d := &Die{
 		Base:     base,
 		NCores:   n,
@@ -69,8 +70,10 @@ func NewDie(base *Floorplan, n int) (*Die, error) {
 		Cols:     cols,
 		WidthMM:  float64(cols) * base.DieWidthMM,
 		HeightMM: float64(rows) * base.DieHeightMM,
-		offX:     make([]float64, n),
-		offY:     make([]float64, n),
+		offX:     off[:n:n],
+		offY:     off[n:],
+		// Every tile repeats the base adjacencies; seams add a few more.
+		adjacencies: make([]DieAdjacency, 0, n*len(base.Adjacencies())),
 	}
 	for k := 0; k < n; k++ {
 		d.offX[k] = float64(k%cols) * base.DieWidthMM

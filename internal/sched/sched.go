@@ -127,7 +127,7 @@ type Simulator struct {
 	env    *exp.Env
 	cfg    Config
 	die    *floorplan.Die
-	model  *thermal.DieModel
+	model  *thermal.Model
 	qual   core.Qualification
 	groups [][]int // group -> suite app indices
 
@@ -165,7 +165,7 @@ func NewCtx(ctx context.Context, env *exp.Env, cfg Config) (*Simulator, error) {
 			return nil, fmt.Errorf("sched: %s evaluation has no epoch rows (Options.DropEpochRows?)", suite[i].App)
 		}
 	}
-	model, err := thermal.NewDie(die, thermal.DieParams(env.Tech.AmbientK, cfg.NCores))
+	model, err := thermal.New(die, thermal.DieParams(env.Tech.AmbientK, cfg.NCores))
 	if err != nil {
 		return nil, err
 	}

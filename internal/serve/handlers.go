@@ -133,12 +133,25 @@ func (s *Server) normalizeEvaluate(req *EvaluateRequest) (trace.Profile, config.
 	if err != nil {
 		return trace.Profile{}, config.Proc{}, core.Qualification{}, err
 	}
-	proc := s.env.Base
+	// The base machine is the ceiling of every unit count: the power
+	// model's OnFractions scales from it, and an unbounded count would
+	// size simulator buffers straight from the request.
+	base := s.env.Base
+	for _, u := range [...]struct {
+		field    string
+		v, limit int
+	}{{"window", req.Window, base.WindowSize}, {"alus", req.ALUs, base.IntALUs}, {"fpus", req.FPUs, base.FPUs}} {
+		if u.v < 0 || u.v > u.limit {
+			return trace.Profile{}, config.Proc{}, core.Qualification{},
+				fmt.Errorf("%s %d outside [1, %d]", u.field, u.v, u.limit)
+		}
+	}
+	proc := base
 	if req.Window != 0 {
 		proc.WindowSize = req.Window
-		proc.IntRegs = min(s.env.Base.IntRegs, req.Window+req.Window/2)
-		proc.FPRegs = min(s.env.Base.FPRegs, req.Window+req.Window/2)
-		proc.MemQueueSize = min(s.env.Base.MemQueueSize, req.Window)
+		proc.IntRegs = min(base.IntRegs, req.Window+req.Window/2)
+		proc.FPRegs = min(base.FPRegs, req.Window+req.Window/2)
+		proc.MemQueueSize = min(base.MemQueueSize, req.Window)
 	}
 	if req.ALUs != 0 {
 		proc.IntALUs = req.ALUs

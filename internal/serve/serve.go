@@ -152,16 +152,6 @@ func (s *Server) Addr() net.Addr {
 	return a
 }
 
-// ListenAndServe binds cfg.Addr and serves until ctx is cancelled
-// (SIGTERM in cmd/rampserve), then drains gracefully.
-func (s *Server) ListenAndServe(ctx context.Context) error {
-	ln, err := net.Listen("tcp", s.cfg.Addr)
-	if err != nil {
-		return err
-	}
-	return s.Serve(ctx, ln)
-}
-
 // Serve runs the HTTP service on ln until ctx is cancelled, then shuts
 // down gracefully: stop accepting, let in-flight requests (and their
 // queued jobs) finish within DrainTimeout, and return nil on a clean

@@ -145,6 +145,29 @@ func TestEvaluateValidation(t *testing.T) {
 	}
 }
 
+// TestUnitCountCeiling pins the base machine as the ceiling of every
+// unit count on both routes that share normalizeEvaluate: an oversized
+// count is a 400 naming the field and its range, and never reaches the
+// simulator (which would size its buffers from it).
+func TestUnitCountCeiling(t *testing.T) {
+	s, hs := newTestServer(t)
+	for _, tc := range []struct{ body, want string }{
+		{`{"app":"gzip","alus":1073741824}`, "alus 1073741824 outside [1, 6]"},
+		{`{"app":"gzip","window":256}`, "window 256 outside [1, 128]"},
+		{`{"app":"gzip","fpus":5}`, "fpus 5 outside [1, 4]"},
+	} {
+		for _, route := range []string{"/v1/evaluate", "/v1/fleet"} {
+			status, body := post(t, hs.URL+route, tc.body)
+			if status != http.StatusBadRequest || !strings.Contains(body, tc.want) {
+				t.Errorf("%s %s: status %d body %s, want 400 naming %q", route, tc.body, status, body, tc.want)
+			}
+		}
+	}
+	if st := s.Env().CacheStats(); st.Misses != 0 {
+		t.Errorf("rejected requests ran %d simulations, want 0", st.Misses)
+	}
+}
+
 func TestSweepValidation(t *testing.T) {
 	_, hs := newTestServer(t)
 	cases := []struct {

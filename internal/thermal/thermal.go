@@ -1,33 +1,32 @@
 // Package thermal is a compact RC thermal model in the spirit of HotSpot
 // (the paper's thermal simulator).
 //
-// The network has one node per floorplan block (the silicon die), one
-// node for the heat spreader, and one node for the heat sink:
+// The network is built from a floorplan.Die — a single-core evaluation
+// passes a one-core die — with one node per (core, structure) block,
+// flat index core·NumStructures + structure, plus one heat spreader and
+// one heat sink shared by the whole die:
 //
 //	block i --Rv(i)--> spreader --Rsp--> sink --Rconv--> ambient
 //	block i --Rlat(i,j)--> block j        (shared-edge neighbours)
 //
 // Vertical resistances follow conduction through the die and thermal
 // interface (t/(k·A)); lateral resistances follow conduction along the
-// die between block centres through the shared edge cross-section. Every
-// node has a heat capacity, so the model supports both steady-state
-// solves and transient integration (implicit Euler, unconditionally
-// stable).
+// die between block centres through the shared edge cross-section, both
+// within a core and across tile seams.
 //
-// The conductance matrices never change after construction — only the
-// power vector and the pinned sink temperature (the right-hand side) do —
-// so New factorizes both steady-state systems once (LU with partial
-// pivoting) and every QuasiSteady/SteadyState call is a pair of O(n²)
-// triangular substitutions with no matrix assembly and no heap
-// allocation. See DESIGN.md §7.
+// The paper's two-pass heat-sink initialisation (Section 6.3) is the
+// only operating mode: the sink's RC time constant (~minutes) is far
+// larger than a simulated run, so a first pass measures average power,
+// SinkSteadyTemp converts it to the sink's steady temperature, and the
+// second pass runs with the sink pinned there. QuasiSteady then gives
+// per-block temperatures for an interval, which is valid because block
+// time constants (~ms) are far below the interval lengths RAMP samples.
 //
-// The paper's two-pass heat-sink initialisation (Section 6.3) is exposed
-// directly: the sink's RC time constant (~minutes) is far larger than a
-// simulated run, so a first pass measures average power, SinkSteadyTemp
-// converts it to the sink's steady temperature, and the second pass runs
-// with the sink pinned there. QuasiSteady then gives per-block
-// temperatures for an interval, which is valid because block time
-// constants (~ms) are far below the interval lengths RAMP samples.
+// The pinned-sink conductance matrix never changes after construction —
+// only the power vector and the sink temperature (the right-hand side)
+// do — so New LU-factorizes it once (partial pivoting) and every solve
+// is a pair of O(n²) triangular substitutions with no matrix assembly
+// and no heap allocation. See DESIGN.md §7.
 package thermal
 
 import (
@@ -40,22 +39,19 @@ import (
 	"ramp/internal/power"
 )
 
-// numNodes is the (compile-time) total node count: blocks + spreader +
-// sink. Solver scratch lives in fixed-size stack arrays of this length so
-// the hot solves never touch the heap.
+// numNodes is the node count of a one-core die: blocks + spreader +
+// sink. QuasiSteady's scratch lives in fixed-size stack arrays of this
+// length so concurrent one-core solves never touch the heap.
 const numNodes = int(floorplan.NumStructures) + 2
 
 // Params holds the physical constants of the package stack.
 type Params struct {
 	DieThicknessM  float64 // silicon die thickness
 	KSiliconWmK    float64 // silicon thermal conductivity
-	CSiliconJm3K   float64 // silicon volumetric heat capacity
 	RVertExtraKWm2 float64 // extra vertical resistance (TIM), K·m²/W
 
 	SpreaderRKW float64 // spreader -> sink resistance
-	SpreaderCJK float64 // spreader heat capacity
 	SinkRKW     float64 // sink -> ambient (convection) resistance
-	SinkCJK     float64 // sink heat capacity
 
 	AmbientK float64
 }
@@ -67,128 +63,98 @@ func DefaultParams(ambientK float64) Params {
 	return Params{
 		DieThicknessM:  0.5e-3,
 		KSiliconWmK:    100,
-		CSiliconJm3K:   1.75e6,
 		RVertExtraKWm2: 8.0e-6,
 		SpreaderRKW:    0.12,
-		SpreaderCJK:    12,
 		SinkRKW:        0.60,
-		SinkCJK:        140,
 		AmbientK:       ambientK,
 	}
 }
 
-// Model is the assembled RC network with its pre-factorized solvers.
-// Since the manycore refactor it is the n = 1 special case of the tiled
-// DieModel: the assembly is provably identical (the tile offset is
-// exactly zero; TestDieModelN1MatchesModel pins it bit for bit), but
-// Model keeps the fixed-size stack scratch that makes its solves safe
-// for concurrent use across evaluation workers.
-type Model struct {
-	fp     *floorplan.Floorplan
-	p      Params
-	n      int         // total nodes: blocks + spreader + sink
-	g      [][]float64 // conductance between node pairs (symmetric)
-	c      []float64   // per-node heat capacity
-	gSinkA float64     // sink -> ambient conductance
+// DieParams returns package constants for an n-core die: the silicon
+// stack is unchanged (per-block vertical resistance already scales with
+// block area), but the spreader and sink grow with the die — n times
+// the heat flows through them, so their resistances drop by the core
+// count. DieParams(ambientK, 1) is exactly DefaultParams(ambientK).
+func DieParams(ambientK float64, nCores int) Params {
+	p := DefaultParams(ambientK)
+	if nCores > 1 {
+		f := float64(nCores)
+		p.SpreaderRKW /= f
+		p.SinkRKW /= f
+	}
+	return p
+}
 
-	// Pre-factorized systems (the matrices depend only on geometry and
-	// package constants, fixed at construction).
-	quasi   lu        // (n-1)-node quasi-steady system, sink pinned
-	full    lu        // n-node full network with sink->ambient coupling
-	fullA   []float64 // pristine copy of the full matrix, for Step's C/dt refactorization
+// Model is the assembled RC network of a die with its pre-factorized
+// pinned-sink system.
+type Model struct {
+	p       Params
+	nb      int       // die blocks: cores · NumStructures
+	quasi   lu        // (nb+1)-node system: blocks + spreader, sink pinned
 	gToSink []float64 // per-node conductance into the pinned sink (RHS assembly)
+	sb, sx  []float64 // QuasiSteadyInto scratch (model-owned)
 
 	// solves counts linear-system solves (observability; nil = uncounted).
 	solves *obs.Counter
 }
 
-// CountSolves attaches a counter incremented once per linear-system
-// solve — SteadyState, QuasiSteady and transient Step all count. The
-// counter is atomic, so counting stays safe under concurrent solves;
-// a nil counter (the default) keeps the hot path increment-free in
-// spirit (a nil-check no-op).
-func (m *Model) CountSolves(c *obs.Counter) { m.solves = c }
-
-// New assembles the thermal network for a floorplan and factorizes its
-// steady-state systems. The assembly is the n = 1 special case of the
-// tiled assembleNetwork — same block order, same adjacency order, same
-// accumulation — inlined against the bare floorplan so constructing a
-// Model allocates nothing beyond its own matrices (Env construction is
-// on several benchmark hot paths). TestDieModelN1MatchesModel pins the
-// two assemblies bit for bit.
-func New(fp *floorplan.Floorplan, p Params) (*Model, error) {
-	if p.DieThicknessM <= 0 || p.KSiliconWmK <= 0 || p.SinkRKW <= 0 || p.SpreaderRKW <= 0 {
-		return nil, fmt.Errorf("thermal: non-positive physical parameter: %+v", p)
-	}
-	nb := int(floorplan.NumStructures)
-	n := nb + 2
-	m := &Model{
-		fp:     fp,
-		p:      p,
-		n:      n,
-		g:      make([][]float64, n),
-		c:      make([]float64, n),
-		gSinkA: 1 / p.SinkRKW,
-	}
-	for i := range m.g {
-		m.g[i] = make([]float64, n)
-	}
-	spreader := nb
-	sink := nb + 1
-
-	for s := 0; s < nb; s++ {
-		areaM2 := fp.AreaMM2(floorplan.Structure(s)) * 1e-6
-		// Vertical: die conduction plus TIM, block -> spreader.
-		r := p.DieThicknessM/(p.KSiliconWmK*areaM2) + p.RVertExtraKWm2/areaM2
-		gv := 1 / r
-		m.g[s][spreader] += gv
-		m.g[spreader][s] += gv
-		// Block heat capacity.
-		m.c[s] = p.CSiliconJm3K * areaM2 * p.DieThicknessM
-	}
-	// Lateral conduction between adjacent blocks.
-	for _, adj := range fp.Adjacencies() {
-		sharedM := adj.SharedMM * 1e-3
-		distM := adj.CenterDist * 1e-3
-		if distM <= 0 {
-			continue
-		}
-		gl := p.KSiliconWmK * p.DieThicknessM * sharedM / distM
-		a, b := int(adj.A), int(adj.B)
-		m.g[a][b] += gl
-		m.g[b][a] += gl
-	}
-	// Spreader -> sink.
-	gss := 1 / p.SpreaderRKW
-	m.g[spreader][sink] += gss
-	m.g[sink][spreader] += gss
-	m.c[spreader] = p.SpreaderCJK
-	m.c[sink] = p.SinkCJK
-
-	var err error
-	m.full, m.quasi, m.fullA, m.gToSink, err = factorizeNetwork(m.g, m.n, m.gSinkA)
+// New assembles the thermal network of a die and factorizes its
+// pinned-sink system.
+func New(die *floorplan.Die, p Params) (*Model, error) {
+	g, err := assembleNetwork(die, p)
 	if err != nil {
 		return nil, err
 	}
+	nb := die.NumBlocks()
+	n := nb + 2
+	// The sink row and column are removed (pinned temperature);
+	// conductances into the sink stay on the diagonal and feed the RHS.
+	nq := n - 1
+	sink := n - 1
+	qa := make([]float64, nq*nq)
+	gToSink := make([]float64, nq)
+	for i := 0; i < nq; i++ {
+		for j := 0; j < nq; j++ {
+			if gv := g[i*n+j]; i != j && gv != 0 {
+				qa[i*nq+i] += gv
+				qa[i*nq+j] -= gv
+			}
+		}
+		gToSink[i] = g[i*n+sink]
+		qa[i*nq+i] += gToSink[i]
+	}
+	m := &Model{p: p, nb: nb, gToSink: gToSink}
+	if err := m.quasi.factorize(nq, qa); err != nil {
+		return nil, err
+	}
+	scratch := make([]float64, 2*nq)
+	m.sb, m.sx = scratch[:nq:nq], scratch[nq:]
 	return m, nil
 }
 
-// assembleNetwork builds the conductance graph and heat capacities of a
-// tiled die: one node per (core, structure) block — flat index
-// core·NumStructures + structure — plus one spreader and one sink node
-// shared by the whole die. Returns the symmetric pairwise conductance
-// matrix and the per-node heat capacities.
-func assembleNetwork(die *floorplan.Die, p Params) (g [][]float64, c []float64, err error) {
+// MustNew is New, panicking on bad parameters.
+func MustNew(die *floorplan.Die, p Params) *Model {
+	m, err := New(die, p)
+	if err != nil {
+		panic(err)
+	}
+	return m
+}
+
+// assembleNetwork builds the conductance graph of a die: the symmetric
+// row-major n×n matrix of pairwise conductances between the n =
+// NumBlocks + 2 nodes, with the spreader at n-2 and the sink at n-1.
+func assembleNetwork(die *floorplan.Die, p Params) ([]float64, error) {
 	if p.DieThicknessM <= 0 || p.KSiliconWmK <= 0 || p.SinkRKW <= 0 || p.SpreaderRKW <= 0 {
-		return nil, nil, fmt.Errorf("thermal: non-positive physical parameter: %+v", p)
+		return nil, fmt.Errorf("thermal: non-positive physical parameter: %+v", p)
 	}
 	nb := die.NumBlocks()
 	n := nb + 2
-	g = make([][]float64, n)
-	for i := range g {
-		g[i] = make([]float64, n)
+	g := make([]float64, n*n)
+	link := func(a, b int, gv float64) {
+		g[a*n+b] += gv
+		g[b*n+a] += gv
 	}
-	c = make([]float64, n)
 	spreader := nb
 	sink := nb + 1
 
@@ -197,11 +163,7 @@ func assembleNetwork(die *floorplan.Die, p Params) (g [][]float64, c []float64, 
 		areaM2 := die.AreaMM2(core, s) * 1e-6
 		// Vertical: die conduction plus TIM, block -> spreader.
 		r := p.DieThicknessM/(p.KSiliconWmK*areaM2) + p.RVertExtraKWm2/areaM2
-		gv := 1 / r
-		g[i][spreader] += gv
-		g[spreader][i] += gv
-		// Block heat capacity.
-		c[i] = p.CSiliconJm3K * areaM2 * p.DieThicknessM
+		link(i, spreader, 1/r)
 	}
 	// Lateral conduction between adjacent blocks — intra-core and across
 	// tile seams alike.
@@ -211,230 +173,86 @@ func assembleNetwork(die *floorplan.Die, p Params) (g [][]float64, c []float64, 
 		if distM <= 0 {
 			continue
 		}
-		gl := p.KSiliconWmK * p.DieThicknessM * sharedM / distM
-		a, b := die.Index(adj.CoreA, adj.A), die.Index(adj.CoreB, adj.B)
-		g[a][b] += gl
-		g[b][a] += gl
+		link(die.Index(adj.CoreA, adj.A), die.Index(adj.CoreB, adj.B),
+			p.KSiliconWmK*p.DieThicknessM*sharedM/distM)
 	}
-	// Spreader -> sink.
-	gss := 1 / p.SpreaderRKW
-	g[spreader][sink] += gss
-	g[sink][spreader] += gss
-	c[spreader] = p.SpreaderCJK
-	c[sink] = p.SinkCJK
-	return g, c, nil
+	link(spreader, sink, 1/p.SpreaderRKW)
+	return g, nil
 }
 
-// factorizeNetwork assembles and LU-factorizes the two steady-state
-// systems of a conductance graph, and keeps a pristine copy of the full
-// matrix for transient refactorization. The sink is node n-1.
-func factorizeNetwork(g [][]float64, n int, gSinkA float64) (full, quasi lu, fullA, gToSink []float64, err error) {
-	sink := n - 1
-
-	// Full network: conductance Laplacian plus the sink->ambient leg.
-	fullA = make([]float64, n*n)
-	fillConductance(g, fullA, n)
-	fullA[sink*n+sink] += gSinkA
-	if err = full.factorize(n, append([]float64(nil), fullA...)); err != nil {
-		return
-	}
-
-	// Quasi-steady network: the sink row/column is removed (pinned
-	// temperature); conductances into the sink stay on the diagonal and
-	// feed the RHS.
-	nq := n - 1
-	qa := make([]float64, nq*nq)
-	fillConductance(g, qa, nq)
-	gToSink = make([]float64, nq)
-	for i := 0; i < nq; i++ {
-		gs := g[i][sink]
-		gToSink[i] = gs
-		qa[i*nq+i] += gs
-	}
-	err = quasi.factorize(nq, qa)
-	return
-}
-
-// fillConductance writes the Laplacian of the first dim nodes of the
-// conductance graph into the row-major dim×dim matrix a.
-func fillConductance(g [][]float64, a []float64, dim int) {
-	for i := 0; i < dim; i++ {
-		for j := 0; j < dim; j++ {
-			if i == j {
-				continue
-			}
-			gv := g[i][j]
-			if gv != 0 {
-				a[i*dim+i] += gv
-				a[i*dim+j] -= gv
-			}
-		}
-	}
-}
-
-// MustNew is New, panicking on bad parameters.
-func MustNew(fp *floorplan.Floorplan, p Params) *Model {
-	m, err := New(fp, p)
-	if err != nil {
-		panic(err)
-	}
-	return m
-}
-
-// Nodes returns the total node count (blocks + spreader + sink).
-func (m *Model) Nodes() int { return m.n }
-
-// Ambient returns the model's ambient temperature (K).
-func (m *Model) Ambient() float64 { return m.p.AmbientK }
-
-// sinkIndex returns the sink node index.
-func (m *Model) sinkIndex() int { return m.n - 1 }
-
-// spreaderIndex returns the spreader node index.
-func (m *Model) spreaderIndex() int { return m.n - 2 }
-
-// SteadyState solves the full network for constant per-block power and
-// returns all node temperatures (blocks, then spreader, then sink).
-func (m *Model) SteadyState(blockPower power.Vector) []float64 {
-	var b [numNodes]float64
-	sink := m.sinkIndex()
-	b[sink] = m.gSinkA * m.p.AmbientK
-	for s := 0; s < int(floorplan.NumStructures); s++ {
-		b[s] += blockPower[s]
-	}
-	t := make([]float64, m.n)
-	m.full.solveInto(t, b[:m.n])
-	m.solves.Inc()
-	for _, v := range t {
-		check.TempK("thermal.SteadyState", v)
-	}
-	return t
-}
+// CountSolves attaches a counter incremented once per linear-system
+// solve. The counter is atomic, so counting stays safe under concurrent
+// solves; a nil counter (the default) makes the increment a no-op.
+func (m *Model) CountSolves(c *obs.Counter) { m.solves = c }
 
 // SinkSteadyTemp returns the sink temperature reached under a constant
-// total power (the first pass of the paper's two-pass initialisation).
+// total die power (the first pass of the paper's two-pass
+// initialisation).
 func (m *Model) SinkSteadyTemp(totalPowerW float64) float64 {
 	return m.p.AmbientK + totalPowerW*m.p.SinkRKW
 }
 
-// QuasiSteady solves block and spreader temperatures with the sink pinned
-// at sinkTempK. This is the second-pass operating mode: block and
-// spreader time constants are milliseconds, far below RAMP's sampling
-// interval, so each interval sees its steady temperatures; the sink
-// integrates over the whole run.
+// QuasiSteady solves the block temperatures of a one-core model with
+// the sink pinned at sinkTempK. This is the second-pass operating mode:
+// block and spreader time constants are milliseconds, far below RAMP's
+// sampling interval, so each interval sees its steady temperatures; the
+// sink integrates over the whole run.
 //
 // This is the innermost call of every evaluation (once per leakage
-// iteration per epoch); against the pre-factorized system it performs no
-// assembly, no elimination, and no heap allocation.
+// iteration per epoch). Its scratch lives on the stack, so one model
+// serves concurrent evaluation workers.
 //
 //ramp:hot
 func (m *Model) QuasiSteady(blockPower power.Vector, sinkTempK float64) power.Vector {
-	n := m.n - 1 // exclude the pinned sink
-	var b, x [numNodes]float64
-	for i := 0; i < n; i++ {
+	if m.nb != int(floorplan.NumStructures) {
+		panic("thermal: QuasiSteady needs a one-core model; use QuasiSteadyInto")
+	}
+	var b, x [numNodes - 1]float64
+	m.solve(x[:], b[:], blockPower[:], sinkTempK)
+	return power.Vector(x[:floorplan.NumStructures])
+}
+
+// QuasiSteadyInto is QuasiSteady for any die: blockPower and out hold
+// one value per block in the flat Die.Index layout. The scratch is the
+// model's, so solves must not run concurrently on one Model.
+//
+//ramp:hot
+func (m *Model) QuasiSteadyInto(out []float64, blockPower []float64, sinkTempK float64) {
+	if len(out) != m.nb || len(blockPower) != m.nb {
+		panic(fmt.Sprintf("thermal: solve needs %d-block slices, got out=%d power=%d",
+			m.nb, len(out), len(blockPower)))
+	}
+	m.solve(m.sx, m.sb, blockPower, sinkTempK)
+	copy(out, m.sx[:m.nb])
+}
+
+// solve writes the block and spreader temperatures for the given block
+// powers and pinned sink into x, using b as right-hand-side scratch.
+//
+//ramp:hot
+func (m *Model) solve(x, b, blockPower []float64, sinkTempK float64) {
+	for i := range b {
 		b[i] = m.gToSink[i] * sinkTempK
 	}
-	for s := 0; s < int(floorplan.NumStructures); s++ {
-		b[s] += blockPower[s]
+	for i := 0; i < m.nb; i++ {
+		b[i] += blockPower[i]
 	}
-	m.quasi.solveInto(x[:n], b[:n])
+	m.quasi.solveInto(x, b)
 	m.solves.Inc()
-	var out power.Vector
-	copy(out[:], x[:floorplan.NumStructures])
-	for s := floorplan.Structure(0); s < floorplan.NumStructures; s++ {
+	for i := 0; i < m.nb; i++ {
 		// A block temperature outside plausible silicon range means the
 		// power input or the pinned sink temperature carried a unit bug.
-		check.TempK("thermal.QuasiSteady", out[s])
+		check.TempK("thermal.QuasiSteady", x[i])
 	}
-	return out
 }
 
-// State integrates the network through time (implicit Euler). It caches
-// the factorization of (C/dt + G), refactorizing only when dt changes, so
-// fixed-step integration factorizes once. A State belongs to one
-// goroutine; the underlying Model stays shareable.
-type State struct {
-	m     *Model
-	temps []float64
-
-	dt          float64 // dt the cached factorization was built for (0 = none)
-	step        lu
-	stepA, b, x []float64
+// MaxCoreTemp returns the hottest block temperature of one core within
+// a flat per-block temperature slice.
+func (m *Model) MaxCoreTemp(temps []float64, core int) float64 {
+	lo := core * int(floorplan.NumStructures) // Die.Index(core, 0)
+	_, maxT := MaxBlock(power.Vector(temps[lo : lo+int(floorplan.NumStructures)]))
+	return maxT
 }
-
-// NewState returns a transient state with every node at temp0.
-func (m *Model) NewState(temp0 float64) *State {
-	t := make([]float64, m.n)
-	for i := range t {
-		t[i] = temp0
-	}
-	return &State{m: m, temps: t}
-}
-
-// NewStateFrom returns a transient state with explicit node temperatures
-// (blocks, spreader, sink — as returned by SteadyState).
-func (m *Model) NewStateFrom(temps []float64) (*State, error) {
-	if len(temps) != m.n {
-		return nil, fmt.Errorf("thermal: NewStateFrom needs %d temperatures, got %d", m.n, len(temps))
-	}
-	return &State{m: m, temps: append([]float64(nil), temps...)}, nil
-}
-
-// Step advances the network by dt seconds under the given block powers
-// using implicit Euler: (C/dt + G) T' = C/dt·T + P. Unconditionally
-// stable for any dt.
-func (st *State) Step(blockPower power.Vector, dt float64) {
-	if dt <= 0 {
-		panic("thermal: non-positive dt")
-	}
-	m := st.m
-	n := m.n
-	//rampvet:ignore floatcmp -- exact match decides factorization reuse; any differing dt must refactorize
-	if st.dt != dt {
-		if st.stepA == nil {
-			st.stepA = make([]float64, n*n)
-			st.b = make([]float64, n)
-			st.x = make([]float64, n)
-		}
-		copy(st.stepA, m.fullA)
-		for i := 0; i < n; i++ {
-			st.stepA[i*n+i] += m.c[i] / dt
-		}
-		if err := st.step.factorize(n, st.stepA); err != nil {
-			// Cannot happen: C/dt only strengthens the diagonal of an
-			// already non-singular matrix.
-			panic(err)
-		}
-		st.dt = dt
-	}
-	b := st.b
-	for i := range b {
-		b[i] = m.c[i] / dt * st.temps[i]
-	}
-	b[m.sinkIndex()] += m.gSinkA * m.p.AmbientK
-	for s := 0; s < int(floorplan.NumStructures); s++ {
-		b[s] += blockPower[s]
-	}
-	st.step.solveInto(st.x, b)
-	m.solves.Inc()
-	copy(st.temps, st.x)
-}
-
-// BlockTemps returns the current per-block temperatures.
-func (st *State) BlockTemps() power.Vector {
-	var out power.Vector
-	copy(out[:], st.temps[:floorplan.NumStructures])
-	return out
-}
-
-// SinkTemp returns the current heat-sink temperature.
-func (st *State) SinkTemp() float64 { return st.temps[st.m.sinkIndex()] }
-
-// SpreaderTemp returns the current spreader temperature.
-func (st *State) SpreaderTemp() float64 { return st.temps[st.m.spreaderIndex()] }
-
-// Temps returns all node temperatures (blocks, spreader, sink).
-func (st *State) Temps() []float64 { return append([]float64(nil), st.temps...) }
 
 // MaxBlock returns the hottest block and its temperature.
 //
@@ -453,7 +271,7 @@ func MaxBlock(t power.Vector) (floorplan.Structure, float64) {
 
 // lu is an LU factorization with partial pivoting of a dense row-major
 // matrix: unit-lower multipliers below the diagonal, U on and above it.
-// The thermal systems are factorized once and solved millions of times,
+// The thermal system is factorized once and solved millions of times,
 // so solveInto is written to be allocation-free.
 type lu struct {
 	n   int
@@ -462,15 +280,11 @@ type lu struct {
 }
 
 // factorize computes the factorization of the n×n matrix a in place,
-// taking ownership of a. Reusing a previously factorized receiver reuses
-// its pivot storage.
+// taking ownership of a.
 func (f *lu) factorize(n int, a []float64) error {
 	f.n = n
 	f.a = a
-	if cap(f.piv) < n {
-		f.piv = make([]int, n)
-	}
-	f.piv = f.piv[:n]
+	f.piv = make([]int, n)
 	for col := 0; col < n; col++ {
 		// Partial pivot: largest remaining entry in this column.
 		p := col
@@ -536,67 +350,4 @@ func (f *lu) solveInto(x, b []float64) {
 		}
 		x[r] = s / a[r*n+r]
 	}
-}
-
-// dense is the original one-shot Gaussian-elimination solver. The
-// production paths all use the pre-factorized lu; dense is retained as
-// the independent oracle the equivalence tests compare against.
-type dense struct {
-	n int
-	a []float64 // row-major n x n
-}
-
-func newDense(n int) *dense {
-	return &dense{n: n, a: make([]float64, n*n)}
-}
-
-func (d *dense) add(i, j int, v float64) {
-	d.a[i*d.n+j] += v
-}
-
-// solve solves d·x = b, destroying d and b.
-func (d *dense) solve(b []float64) []float64 {
-	n := d.n
-	a := d.a
-	for col := 0; col < n; col++ {
-		// Partial pivot.
-		p := col
-		pmax := math.Abs(a[col*n+col])
-		for r := col + 1; r < n; r++ {
-			if v := math.Abs(a[r*n+col]); v > pmax {
-				pmax = v
-				p = r
-			}
-		}
-		if pmax == 0 {
-			panic("thermal: singular conductance matrix")
-		}
-		if p != col {
-			for k := 0; k < n; k++ {
-				a[col*n+k], a[p*n+k] = a[p*n+k], a[col*n+k]
-			}
-			b[col], b[p] = b[p], b[col]
-		}
-		pivInv := 1 / a[col*n+col]
-		for r := col + 1; r < n; r++ {
-			f := a[r*n+col] * pivInv
-			if f == 0 {
-				continue
-			}
-			a[r*n+col] = 0
-			for k := col + 1; k < n; k++ {
-				a[r*n+k] -= f * a[col*n+k]
-			}
-			b[r] -= f * b[col]
-		}
-	}
-	x := make([]float64, n)
-	for r := n - 1; r >= 0; r-- {
-		s := b[r]
-		for k := r + 1; k < n; k++ {
-			s -= a[r*n+k] * x[k]
-		}
-		x[r] = s / a[r*n+r]
-	}
-	return x
 }

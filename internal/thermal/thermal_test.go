@@ -1,6 +1,7 @@
 package thermal
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
@@ -8,175 +9,143 @@ import (
 	"ramp/internal/power"
 )
 
-func model() *Model {
-	return MustNew(floorplan.R10000Like(), DefaultParams(313))
+const ambientK = 313
+
+// oneCore returns the single-core die and package of a standard
+// evaluation.
+func oneCore() (*floorplan.Die, Params) {
+	return floorplan.MustNewDie(floorplan.R10000Like(), 1), DefaultParams(ambientK)
+}
+
+// forDies runs a physics check on a one-core and a four-core die, each
+// with its scaled package (DieParams).
+func forDies(t *testing.T, check func(t *testing.T, die *floorplan.Die, p Params)) {
+	for _, n := range []int{1, 4} {
+		t.Run(fmt.Sprintf("N=%d", n), func(t *testing.T) {
+			check(t, floorplan.MustNewDie(floorplan.R10000Like(), n), DieParams(ambientK, n))
+		})
+	}
+}
+
+// uniform returns per-block power w on every block of die.
+func uniform(die *floorplan.Die, w float64) []float64 {
+	bp := make([]float64, die.NumBlocks())
+	for i := range bp {
+		bp[i] = w
+	}
+	return bp
 }
 
 func TestZeroPowerIsAmbient(t *testing.T) {
-	m := model()
-	temps := m.SteadyState(power.Vector{})
-	for i, temp := range temps {
-		if math.Abs(temp-313) > 1e-6 {
-			t.Fatalf("node %d at %v K with zero power", i, temp)
+	forDies(t, func(t *testing.T, die *floorplan.Die, p Params) {
+		for i, temp := range oracleSteady(t, die, p, uniform(die, 0)) {
+			if math.Abs(temp-ambientK) > 1e-6 {
+				t.Fatalf("node %d at %v K with zero power", i, temp)
+			}
 		}
-	}
+	})
 }
 
 func TestSinkTempEnergyConservation(t *testing.T) {
-	m := model()
-	// In steady state all generated heat flows through the sink's
-	// convection resistance: T_sink = T_amb + P_total * R_sink.
-	pw := power.Uniform(2.0) // 22 W total
-	temps := m.SteadyState(pw)
-	sink := temps[len(temps)-1]
-	want := m.SinkSteadyTemp(pw.Sum())
-	if math.Abs(sink-want) > 1e-6 {
-		t.Fatalf("sink temp = %v, want %v", sink, want)
-	}
+	forDies(t, func(t *testing.T, die *floorplan.Die, p Params) {
+		// In steady state all generated heat flows through the sink's
+		// convection resistance, which DieParams divides by the core
+		// count: T_sink = T_amb + P_total · R_sink / N.
+		bp := uniform(die, 2.0) // 22 W per core
+		total := 2.0 * float64(len(bp))
+		want := ambientK + total*DefaultParams(ambientK).SinkRKW/float64(die.NCores)
+		temps := oracleSteady(t, die, p, bp)
+		if sink := temps[len(temps)-1]; math.Abs(sink-want) > 1e-6 {
+			t.Fatalf("sink temp = %v, want %v", sink, want)
+		}
+		if got := MustNew(die, p).SinkSteadyTemp(total); math.Abs(got-want) > 1e-9 {
+			t.Fatalf("SinkSteadyTemp = %v, want %v", got, want)
+		}
+	})
 }
 
 func TestTemperatureOrdering(t *testing.T) {
-	m := model()
-	pw := power.Uniform(2.0)
-	temps := m.SteadyState(pw)
-	sink := temps[len(temps)-1]
-	spreader := temps[len(temps)-2]
-	if !(spreader > sink && sink > 313) {
-		t.Fatalf("ordering broken: spreader %v sink %v", spreader, sink)
-	}
-	for s := 0; s < int(floorplan.NumStructures); s++ {
-		if temps[s] <= spreader {
-			t.Fatalf("powered block %v cooler than spreader", floorplan.Structure(s))
+	forDies(t, func(t *testing.T, die *floorplan.Die, p Params) {
+		temps := oracleSteady(t, die, p, uniform(die, 2.0))
+		sink := temps[len(temps)-1]
+		spreader := temps[len(temps)-2]
+		if !(spreader > sink && sink > ambientK) {
+			t.Fatalf("ordering broken: spreader %v sink %v", spreader, sink)
 		}
-	}
+		for i := 0; i < die.NumBlocks(); i++ {
+			if temps[i] <= spreader {
+				c, s := die.CoreOf(i)
+				t.Fatalf("powered block %d/%v cooler than spreader", c, s)
+			}
+		}
+	})
 }
 
 func TestPowerDensityDrivesHotspots(t *testing.T) {
-	m := model()
-	fp := floorplan.R10000Like()
-	// Equal power into a small block vs a large one: the small block
-	// (higher density) must run hotter.
-	var pw power.Vector
-	pw[floorplan.AGU] = 3 // 0.81 mm^2
-	pw[floorplan.L1D] = 3 // 4.05 mm^2
-	temps := m.SteadyState(pw)
-	if temps[floorplan.AGU] <= temps[floorplan.L1D] {
-		t.Fatalf("denser block not hotter: AGU %v (%.2fmm2) vs L1D %v (%.2fmm2)",
-			temps[floorplan.AGU], fp.AreaMM2(floorplan.AGU),
-			temps[floorplan.L1D], fp.AreaMM2(floorplan.L1D))
-	}
+	forDies(t, func(t *testing.T, die *floorplan.Die, p Params) {
+		// Equal power into a small block vs a large one: the small block
+		// (higher density) must run hotter.
+		bp := uniform(die, 0)
+		agu, l1d := die.Index(0, floorplan.AGU), die.Index(0, floorplan.L1D)
+		bp[agu] = 3 // 0.81 mm^2
+		bp[l1d] = 3 // 4.05 mm^2
+		temps := oracleSteady(t, die, p, bp)
+		if temps[agu] <= temps[l1d] {
+			t.Fatalf("denser block not hotter: AGU %v (%.2fmm2) vs L1D %v (%.2fmm2)",
+				temps[agu], die.AreaMM2(0, floorplan.AGU), temps[l1d], die.AreaMM2(0, floorplan.L1D))
+		}
+	})
 }
 
 func TestLateralCouplingWarmsNeighbours(t *testing.T) {
-	m := model()
-	var pw power.Vector
-	pw[floorplan.IntALU] = 10
-	temps := m.SteadyState(pw)
-	// AGU is adjacent to IntALU; BPred is across the die.
-	if temps[floorplan.AGU] <= temps[floorplan.BPred] {
-		t.Fatalf("adjacent block not warmer: AGU %v vs BPred %v",
-			temps[floorplan.AGU], temps[floorplan.BPred])
-	}
+	forDies(t, func(t *testing.T, die *floorplan.Die, p Params) {
+		bp := uniform(die, 0)
+		bp[die.Index(0, floorplan.IntALU)] = 10
+		temps := oracleSteady(t, die, p, bp)
+		// AGU is adjacent to IntALU; BPred is across the core.
+		agu, bpred := temps[die.Index(0, floorplan.AGU)], temps[die.Index(0, floorplan.BPred)]
+		if agu <= bpred {
+			t.Fatalf("adjacent block not warmer: AGU %v vs BPred %v", agu, bpred)
+		}
+	})
 }
 
+func TestMoreCoolingLowersTemps(t *testing.T) {
+	forDies(t, func(t *testing.T, die *floorplan.Die, p Params) {
+		better := p
+		better.SinkRKW = p.SinkRKW / 2
+		bp := uniform(die, 3)
+		t1 := oracleSteady(t, die, p, bp)
+		t2 := oracleSteady(t, die, better, bp)
+		for i := range t1 {
+			if t2[i] >= t1[i] {
+				t.Fatalf("better sink did not cool node %d: %v vs %v", i, t2[i], t1[i])
+			}
+		}
+	})
+}
+
+// TestQuasiSteadyMatchesSteadyState pins the second pass: with the sink
+// pinned at its full-network steady temperature, the production solve
+// reproduces the full-network block temperatures.
 func TestQuasiSteadyMatchesSteadyState(t *testing.T) {
-	m := model()
-	pw := power.Uniform(2.5)
-	full := m.SteadyState(pw)
-	sink := full[len(full)-1]
-	qs := m.QuasiSteady(pw, sink)
-	for s := 0; s < int(floorplan.NumStructures); s++ {
-		if math.Abs(qs[s]-full[s]) > 1e-6 {
-			t.Fatalf("block %v: quasi %v vs full %v", floorplan.Structure(s), qs[s], full[s])
+	forDies(t, func(t *testing.T, die *floorplan.Die, p Params) {
+		bp := uniform(die, 2.5)
+		full := oracleSteady(t, die, p, bp)
+		got := make([]float64, die.NumBlocks())
+		MustNew(die, p).QuasiSteadyInto(got, bp, full[len(full)-1])
+		for i := range got {
+			if math.Abs(got[i]-full[i]) > 1e-6 {
+				t.Fatalf("block %d: quasi %v vs full %v", i, got[i], full[i])
+			}
 		}
-	}
-}
-
-func TestTransientConvergesToSteadyState(t *testing.T) {
-	m := model()
-	pw := power.Uniform(2.0)
-	want := m.SteadyState(pw)
-	st := m.NewState(313)
-	// Sink time constant is ~R*C = 0.6*140 = 84 s; integrate well past it.
-	for i := 0; i < 3000; i++ {
-		st.Step(pw, 0.5)
-	}
-	got := st.Temps()
-	for i := range want {
-		if math.Abs(got[i]-want[i]) > 0.05 {
-			t.Fatalf("node %d: transient %v vs steady %v", i, got[i], want[i])
-		}
-	}
-}
-
-func TestTransientBlocksFasterThanSink(t *testing.T) {
-	m := model()
-	pw := power.Uniform(2.0)
-	st := m.NewState(313)
-	for i := 0; i < 100; i++ {
-		st.Step(pw, 0.001) // 100 ms total
-	}
-	blocks := st.BlockTemps()
-	// Blocks warm within milliseconds; the sink barely moves.
-	if blocks[floorplan.Window]-313 < 1 {
-		t.Fatalf("blocks did not warm: %v", blocks[floorplan.Window])
-	}
-	if st.SinkTemp()-313 > 1 {
-		t.Fatalf("sink warmed too fast: %v", st.SinkTemp())
-	}
-	if st.SpreaderTemp() <= st.SinkTemp() {
-		t.Fatalf("spreader/sink ordering: %v %v", st.SpreaderTemp(), st.SinkTemp())
-	}
-}
-
-func TestImplicitEulerStableWithHugeStep(t *testing.T) {
-	m := model()
-	pw := power.Uniform(2.0)
-	st := m.NewState(313)
-	st.Step(pw, 1e6) // one enormous step lands on the steady state
-	want := m.SteadyState(pw)
-	got := st.Temps()
-	for i := range want {
-		if math.Abs(got[i]-want[i]) > 0.2 {
-			t.Fatalf("node %d after huge step: %v vs %v", i, got[i], want[i])
-		}
-	}
-}
-
-func TestStepPanicsOnBadDt(t *testing.T) {
-	st := model().NewState(313)
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
-		}
-	}()
-	st.Step(power.Vector{}, 0)
-}
-
-func TestNewStateFrom(t *testing.T) {
-	m := model()
-	if _, err := m.NewStateFrom([]float64{1, 2}); err == nil {
-		t.Fatal("wrong-length state accepted")
-	}
-	init := m.SteadyState(power.Uniform(1))
-	st, err := m.NewStateFrom(init)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Already at steady state: a step must not move it.
-	st.Step(power.Uniform(1), 1.0)
-	got := st.Temps()
-	for i := range init {
-		if math.Abs(got[i]-init[i]) > 1e-6 {
-			t.Fatalf("steady state drifted at node %d: %v vs %v", i, got[i], init[i])
-		}
-	}
+	})
 }
 
 func TestNewRejectsBadParams(t *testing.T) {
-	p := DefaultParams(313)
+	die, p := oneCore()
 	p.SinkRKW = 0
-	if _, err := New(floorplan.R10000Like(), p); err == nil {
+	if _, err := New(die, p); err == nil {
 		t.Fatal("bad params accepted")
 	}
 }
@@ -188,21 +157,5 @@ func TestMaxBlock(t *testing.T) {
 	s, temp := MaxBlock(v)
 	if s != floorplan.FPU || temp != 400 {
 		t.Fatalf("MaxBlock = %v %v", s, temp)
-	}
-}
-
-func TestMoreCoolingLowersTemps(t *testing.T) {
-	p1 := DefaultParams(313)
-	p2 := p1
-	p2.SinkRKW = p1.SinkRKW / 2
-	m1 := MustNew(floorplan.R10000Like(), p1)
-	m2 := MustNew(floorplan.R10000Like(), p2)
-	pw := power.Uniform(3)
-	t1 := m1.SteadyState(pw)
-	t2 := m2.SteadyState(pw)
-	for i := range t1 {
-		if t2[i] >= t1[i] {
-			t.Fatalf("better sink did not cool node %d: %v vs %v", i, t2[i], t1[i])
-		}
 	}
 }

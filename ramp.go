@@ -77,10 +77,10 @@ type (
 	PowerModel = power.Model
 	// PowerVector holds one value per structure.
 	PowerVector = power.Vector
-	// ThermalModel is the RC thermal network.
+	// ThermalModel is the RC thermal network of a die, solved
+	// quasi-steady with the heat sink pinned (the paper's two-pass
+	// sink initialisation).
 	ThermalModel = thermal.Model
-	// ThermalState integrates the network through time.
-	ThermalState = thermal.State
 )
 
 // RAMP — the paper's reliability model.

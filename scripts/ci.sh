@@ -8,7 +8,8 @@
 # end-to-end smoke script, and the rampvet domain linter. Every lane
 # runs even if an earlier one fails; the exit status is the number of
 # failed lanes. The obscheck lane exercises the observability layer
-# (-trace/-stats on a real run, trace validation, obsguard).
+# (-trace/-stats on a real run, trace validation, obsguard). The loc
+# lane prints the production Go line count and never fails.
 set -u
 cd "$(dirname "$0")/.."
 
@@ -56,6 +57,10 @@ lane "loadcheck" ./scripts/loadcheck.sh
 # `go run ./cmd/rampvet -write-baseline ./...` only when grandfathering
 # is the deliberate choice; the default fix is the code.
 lane "rampvet" go run ./cmd/rampvet -baseline .rampvet-baseline ./...
+
+# Production Go LOC: informational, never counted as a failed lane.
+echo "==> loc (informational)"
+echo "    $(./scripts/loc.sh || echo '?') production Go lines"
 
 if [ "${failures}" -ne 0 ]; then
 	echo "${failures} lane(s) failed" >&2
