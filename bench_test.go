@@ -156,7 +156,8 @@ func BenchmarkDieEvaluate(b *testing.B) {
 
 // ---- substrate micro-benchmarks ----
 
-// BenchmarkSimulator measures raw simulation speed (instructions/op).
+// BenchmarkSimulator measures raw simulation speed: instructions per op
+// and simulated instructions per host second.
 func BenchmarkSimulator(b *testing.B) {
 	gen, err := ramp.NewGenerator(trace.Bzip2(), 1)
 	if err != nil {
@@ -172,6 +173,7 @@ func BenchmarkSimulator(b *testing.B) {
 		core.Run(10_000)
 	}
 	b.ReportMetric(10_000, "instrs/op")
+	b.ReportMetric(float64(10_000*b.N)/b.Elapsed().Seconds(), "instrs/s")
 }
 
 // BenchmarkTraceGeneration measures the synthetic workload generator.

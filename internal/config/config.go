@@ -244,6 +244,15 @@ func DVSFrequencies(stepHz float64) []float64 {
 	return out
 }
 
+// The floor of the calibrated envelope: ArchConfigs' smallest machine.
+// The workload profiles and the power model are calibrated from the base
+// machine down to it, and no further.
+const (
+	MinWindowSize = 16
+	MinIntALUs    = 2
+	MinFPUs       = 1
+)
+
 // ArchConfigs returns the paper's 18 microarchitectural adaptation
 // configurations (Section 6.1): combinations of instruction window size
 // and functional-unit counts ranging from the full 128-entry, 6-ALU,
@@ -252,8 +261,8 @@ func DVSFrequencies(stepHz float64) []float64 {
 // window so that no configuration is trivially register-starved.
 func ArchConfigs() []Proc {
 	base := Base()
-	windows := []int{128, 96, 64, 48, 32, 16}
-	fus := []struct{ alus, fpus int }{{6, 4}, {4, 2}, {2, 1}}
+	windows := []int{128, 96, 64, 48, 32, MinWindowSize}
+	fus := []struct{ alus, fpus int }{{6, 4}, {4, 2}, {MinIntALUs, MinFPUs}}
 	var out []Proc
 	for _, w := range windows {
 		for _, fu := range fus {

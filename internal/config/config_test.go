@@ -152,6 +152,9 @@ func TestArchConfigsMatchPaper(t *testing.T) {
 		if c.WindowSize == 16 && c.IntALUs == 2 {
 			least = c
 		}
+		if c.WindowSize < MinWindowSize || c.IntALUs < MinIntALUs || c.FPUs < MinFPUs {
+			t.Errorf("config %s is below the envelope floor", c.Name)
+		}
 	}
 	if most.FPUs != 4 {
 		t.Fatalf("most aggressive config missing (%+v)", most)

@@ -3,9 +3,12 @@ package exp
 import (
 	"context"
 	"errors"
+	"strings"
 	"testing"
 	"time"
 
+	"ramp/internal/config"
+	"ramp/internal/core"
 	"ramp/internal/trace"
 )
 
@@ -161,5 +164,58 @@ func TestEvaluateDeadlineExceeded(t *testing.T) {
 	_, err := env.EvaluateCtx(ctx, trace.Twolf(), env.Base, env.Qualification(400))
 	if !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("err = %v (want context.DeadlineExceeded)", err)
+	}
+}
+
+// TestPanickingLeaderAbandonsEntry runs a panicking evaluation through
+// the leader path with a second caller already waiting on the flight:
+// the leader must get an error naming the panic and carrying its stack,
+// and the waiter must retake the key as leader and succeed instead of
+// blocking on a flight that never completes.
+func TestPanickingLeaderAbandonsEntry(t *testing.T) {
+	env := NewEnv(QuickOptions())
+	app, proc, qual := trace.Gzip(), env.Base, env.Qualification(400)
+	key := env.keyFor(app.Name, proc)
+	ent, leader := env.cache.acquire(key)
+	if !leader {
+		t.Fatal("first acquire did not lead")
+	}
+
+	waiterErr := make(chan error, 1)
+	go func() {
+		_, err := env.EvaluateCtx(context.Background(), app, proc, qual)
+		waiterErr <- err
+	}()
+	deadline := time.Now().Add(10 * time.Second)
+	for env.CacheStats().Hits == 0 { // the waiter joined the flight
+		if time.Now().After(deadline) {
+			t.Fatal("waiter never joined the flight")
+		}
+		time.Sleep(time.Millisecond)
+	}
+
+	err := env.lead(context.Background(), key, ent, app, proc, qual,
+		func(context.Context, trace.Profile, config.Proc, core.Qualification) (Result, error) {
+			panic("sim: no forward progress")
+		})
+	if err == nil || !strings.Contains(err.Error(), "panicked: sim: no forward progress") {
+		t.Fatalf("leader err = %v, want one naming the panic", err)
+	}
+	if !strings.Contains(err.Error(), "TestPanickingLeaderAbandonsEntry") {
+		t.Errorf("leader err = %v, want the panic site's stack", err)
+	}
+	select {
+	case err := <-waiterErr:
+		if err != nil {
+			t.Fatalf("waiter err = %v (want success after retaking leadership)", err)
+		}
+	case <-time.After(30 * time.Second):
+		t.Fatal("waiter blocked on the panicked flight")
+	}
+	if _, err := env.Evaluate(app, proc, qual); err != nil {
+		t.Fatalf("evaluate after recovery: %v", err)
+	}
+	if st := env.CacheStats(); st.Misses != 2 || st.Entries != 1 {
+		t.Errorf("cache stats %+v, want 2 misses (panicked leader, waiter) and 1 entry", st)
 	}
 }

@@ -20,6 +20,7 @@ import (
 	"fmt"
 	"math"
 	"runtime"
+	"runtime/debug"
 	"sync"
 	"time"
 
@@ -231,10 +232,10 @@ func (e *Env) Evaluate(app trace.Profile, proc config.Proc, qual core.Qualificat
 // EvaluateCtx is Evaluate with cancellation: the simulation checks ctx
 // at every epoch boundary, so an abandoned caller (a closed HTTP
 // request, an expired deadline) stops burning simulation time within
-// one epoch. A cancelled flight never poisons the cache — the entry is
-// dropped and the next caller for the same key simulates afresh; a
-// waiter that joined a flight whose leader was cancelled retakes
-// leadership itself.
+// one epoch. A cancelled or panicking flight never poisons the cache —
+// the entry is dropped and the next caller for the same key simulates
+// afresh; a waiter that joined a flight whose leader was cancelled or
+// panicked retakes leadership itself.
 func (e *Env) EvaluateCtx(ctx context.Context, app trace.Profile, proc config.Proc, qual core.Qualification) (Result, error) {
 	key := e.keyFor(app.Name, proc)
 	var ent *cacheEntry
@@ -245,15 +246,9 @@ func (e *Env) EvaluateCtx(ctx context.Context, app trace.Profile, proc config.Pr
 		var leader bool
 		ent, leader = e.cache.acquire(key)
 		if leader {
-			e.obs.cacheMisses.Inc()
-			ent.res, ent.err = e.evaluate(ctx, app, proc, qual)
-			ent.qual = qual
-			if ent.err != nil && isCtxErr(ent.err) {
-				e.cache.abandon(key, ent)
-				return Result{}, ent.err
+			if err := e.lead(ctx, key, ent, app, proc, qual, e.evaluate); err != nil {
+				return Result{}, err
 			}
-			e.cache.complete(ent)
-			e.obs.cacheEntries.Set(int64(e.cache.Len()))
 			break
 		}
 		select {
@@ -292,6 +287,35 @@ func (e *Env) EvaluateCtx(ctx context.Context, app trace.Profile, proc config.Pr
 	return res, nil
 }
 
+// evalFunc is the signature of the uncached evaluation pipeline:
+// Env.evaluate in production, a stand-in where tests drive lead.
+type evalFunc func(context.Context, trace.Profile, config.Proc, core.Qualification) (Result, error)
+
+// lead runs the flight for the cache entry ent, which the caller has
+// just acquired as leader of key. A completed evaluation — a result or
+// a real error — is cached for every later caller. A cancelled or
+// panicking one abandons the entry instead, so waiters retake the key
+// rather than block on a flight that will never complete; a panic comes
+// back as an error naming it, with the panicking goroutine's stack.
+func (e *Env) lead(ctx context.Context, key evalKey, ent *cacheEntry, app trace.Profile, proc config.Proc, qual core.Qualification, eval evalFunc) (err error) {
+	e.obs.cacheMisses.Inc()
+	defer func() {
+		if p := recover(); p != nil {
+			e.cache.abandon(key, ent)
+			err = fmt.Errorf("exp: evaluating %s on %s panicked: %v\n%s", app.Name, proc.Name, p, debug.Stack())
+		}
+	}()
+	ent.res, ent.err = eval(ctx, app, proc, qual)
+	ent.qual = qual
+	if ent.err != nil && isCtxErr(ent.err) {
+		e.cache.abandon(key, ent)
+		return ent.err
+	}
+	e.cache.complete(ent)
+	e.obs.cacheEntries.Set(int64(e.cache.Len()))
+	return nil
+}
+
 // keyFor builds the cache key for an (application, configuration) pair.
 func (e *Env) keyFor(app string, proc config.Proc) evalKey {
 	proc.Name = ""
@@ -307,11 +331,22 @@ func (e *Env) CachedEvaluations() int { return e.cache.Len() }
 // assertions in tests).
 func (e *Env) CacheStats() CacheStats { return e.cache.Stats() }
 
-// evaluate is the uncached evaluation pipeline. ctx is checked at every
-// epoch boundary of both the timing simulation and the thermal passes.
-// Evaluations run concurrently on the worker pool, so the evaluation
-// span opens a fresh track; everything below it nests on that track.
+// evaluate is the uncached evaluation pipeline, run on a pooled arena.
 func (e *Env) evaluate(ctx context.Context, app trace.Profile, proc config.Proc, qual core.Qualification) (Result, error) {
+	ar := e.getArena()
+	res, err := e.evaluateIn(ctx, ar, app, proc, qual)
+	// Not reached when the evaluation panics: an arena whose core or
+	// generator may have stopped mid-update never returns to the pool.
+	e.putArena(ar)
+	return res, err
+}
+
+// evaluateIn runs the pipeline on the arena ar's scratch. ctx is checked
+// at every epoch boundary of both the timing simulation and the thermal
+// passes. Evaluations run concurrently on the worker pool, so the
+// evaluation span opens a fresh track; everything below it nests on that
+// track.
+func (e *Env) evaluateIn(ctx context.Context, ar *evalArena, app trace.Profile, proc config.Proc, qual core.Qualification) (Result, error) {
 	evalStart := time.Now()
 	ctx, evalSpan := e.Trace.StartTrack(ctx, "exp.evaluate")
 	if evalSpan.Enabled() {
@@ -319,8 +354,6 @@ func (e *Env) evaluate(ctx context.Context, app trace.Profile, proc config.Proc,
 	}
 	defer evalSpan.End()
 
-	ar := e.getArena()
-	defer e.putArena(ar)
 	gen, err := ar.generator(app, e.Opts.Seed)
 	if err != nil {
 		return Result{}, err

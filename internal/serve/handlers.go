@@ -133,17 +133,23 @@ func (s *Server) normalizeEvaluate(req *EvaluateRequest) (trace.Profile, config.
 	if err != nil {
 		return trace.Profile{}, config.Proc{}, core.Qualification{}, err
 	}
-	// The base machine is the ceiling of every unit count: the power
-	// model's OnFractions scales from it, and an unbounded count would
-	// size simulator buffers straight from the request.
+	// A unit count, when given, must lie in the calibrated envelope. The
+	// base machine is its ceiling: the power model's OnFractions scales
+	// from it, and an unbounded count would size simulator buffers
+	// straight from the request. ArchConfigs' smallest machine is its
+	// floor: the model is calibrated no further down.
 	base := s.env.Base
 	for _, u := range [...]struct {
-		field    string
-		v, limit int
-	}{{"window", req.Window, base.WindowSize}, {"alus", req.ALUs, base.IntALUs}, {"fpus", req.FPUs, base.FPUs}} {
-		if u.v < 0 || u.v > u.limit {
+		field       string
+		v, min, max int
+	}{
+		{"window", req.Window, config.MinWindowSize, base.WindowSize},
+		{"alus", req.ALUs, config.MinIntALUs, base.IntALUs},
+		{"fpus", req.FPUs, config.MinFPUs, base.FPUs},
+	} {
+		if u.v != 0 && (u.v < u.min || u.v > u.max) {
 			return trace.Profile{}, config.Proc{}, core.Qualification{},
-				fmt.Errorf("%s %d outside [1, %d]", u.field, u.v, u.limit)
+				fmt.Errorf("%s %d outside [%d, %d]", u.field, u.v, u.min, u.max)
 		}
 	}
 	proc := base

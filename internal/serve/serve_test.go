@@ -24,6 +24,19 @@ func tinyOptions() exp.Options {
 	return o
 }
 
+// deadlineOptions returns an evaluation of many short epochs for the
+// 1 ms request-deadline tests: about 0.4M instructions, long enough that
+// the deadline always expires mid-run even when the timer that cancels
+// the context only fires at a preemption, with a cancellation check every
+// 10k instructions.
+func deadlineOptions() exp.Options {
+	o := exp.QuickOptions()
+	o.WarmupInstrs = 10_000
+	o.EpochInstrs = 10_000
+	o.Epochs = 40
+	return o
+}
+
 // tinyConfig returns a test config; the httptest server ignores Addr.
 func tinyConfig() Config {
 	c := DefaultConfig()
@@ -145,16 +158,20 @@ func TestEvaluateValidation(t *testing.T) {
 	}
 }
 
-// TestUnitCountCeiling pins the base machine as the ceiling of every
-// unit count on both routes that share normalizeEvaluate: an oversized
-// count is a 400 naming the field and its range, and never reaches the
-// simulator (which would size its buffers from it).
+// TestUnitCountCeiling pins the calibrated envelope as the range of
+// every unit count on both routes that share normalizeEvaluate: the base
+// machine is its ceiling and ArchConfigs' smallest machine its floor. A
+// count outside it is a 400 naming the field and its range, and never
+// reaches the simulator (which would size its buffers from it).
 func TestUnitCountCeiling(t *testing.T) {
 	s, hs := newTestServer(t)
 	for _, tc := range []struct{ body, want string }{
-		{`{"app":"gzip","alus":1073741824}`, "alus 1073741824 outside [1, 6]"},
-		{`{"app":"gzip","window":256}`, "window 256 outside [1, 128]"},
+		{`{"app":"gzip","alus":1073741824}`, "alus 1073741824 outside [2, 6]"},
+		{`{"app":"gzip","window":256}`, "window 256 outside [16, 128]"},
 		{`{"app":"gzip","fpus":5}`, "fpus 5 outside [1, 4]"},
+		{`{"app":"gzip","window":15}`, "window 15 outside [16, 128]"},
+		{`{"app":"gzip","alus":1}`, "alus 1 outside [2, 6]"},
+		{`{"app":"gzip","fpus":-1}`, "fpus -1 outside [1, 4]"},
 	} {
 		for _, route := range []string{"/v1/evaluate", "/v1/fleet"} {
 			status, body := post(t, hs.URL+route, tc.body)
@@ -279,7 +296,7 @@ func TestQueueFullSheds429(t *testing.T) {
 func TestRequestTimeoutReturns504(t *testing.T) {
 	cfg := tinyConfig()
 	cfg.RequestTimeout = time.Millisecond // expires during the evaluation
-	s := New(exp.NewEnv(exp.QuickOptions()), cfg)
+	s := New(exp.NewEnv(deadlineOptions()), cfg)
 	hs := httptest.NewServer(s.Handler())
 	defer hs.Close()
 

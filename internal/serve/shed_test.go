@@ -64,7 +64,7 @@ func TestShed429MintsRequestIDAndSkipsLatency(t *testing.T) {
 func TestShed504RecordsComputeLatency(t *testing.T) {
 	cfg := tinyConfig()
 	cfg.RequestTimeout = time.Millisecond // expires mid-evaluation
-	s := New(exp.NewEnv(exp.QuickOptions()), cfg)
+	s := New(exp.NewEnv(deadlineOptions()), cfg)
 	hs := httptest.NewServer(s.Handler())
 	defer hs.Close()
 

@@ -8,6 +8,7 @@ import (
 	"bufio"
 	"context"
 	"encoding/json"
+	"fmt"
 	"io"
 	"net"
 	"net/http"
@@ -300,12 +301,27 @@ func TestStreamPipelineMerge(t *testing.T) {
 	hs := httptest.NewServer(s.Handler())
 	defer hs.Close()
 
-	done := make(chan struct{})
+	// A single tiny evaluation can finish before the stream takes its
+	// baseline snapshot, leaving every frame's delta empty. Keep distinct
+	// (so uncached) evaluations running until all frames are read.
+	stop, done := make(chan struct{}), make(chan struct{})
 	go func() {
 		defer close(done)
-		post(t, hs.URL+"/v1/evaluate", `{"app":"gzip"}`)
+		for i := 0; ; i++ {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			body := fmt.Sprintf(`{"app":"gzip","freq_hz":%d}`, 2_500_000_000+i*1_000_000)
+			if status, resp := post(t, hs.URL+"/v1/evaluate", body); status != http.StatusOK {
+				t.Errorf("evaluate %s: status %d: %s", body, status, resp)
+				return
+			}
+		}
 	}()
 	_, frames := readStreamFrames(t, hs.URL, "window=50ms&n=4&format=ndjson")
+	close(stop)
 	<-done
 
 	var epochs int64

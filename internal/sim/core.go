@@ -25,6 +25,7 @@ import (
 	"fmt"
 	"math"
 
+	"ramp/internal/check"
 	"ramp/internal/config"
 	"ramp/internal/floorplan"
 	"ramp/internal/obs"
@@ -32,6 +33,19 @@ import (
 )
 
 const farFuture = math.MaxUint64 / 2
+
+// histLen is the number of completion-time history slots, indexed by
+// sequence number modulo histLen. A producer's slot is reused only when
+// an instruction histLen younger is fetched, so as long as dependency
+// distances stay within histLen minus the instructions in flight (window
+// plus fetch queue), no slot is reused while a consumer of it is still in
+// the window. The trace generator caps distances at 192; dispatch asserts
+// the bound under the rampdebug tag.
+const histLen = 2048
+
+// noDep is the history slot of an absent operand: it is never written,
+// so it always reads 0 ("finished before the run").
+const noDep = histLen
 
 // Result summarises one simulated run (or epoch).
 type Result struct {
@@ -69,10 +83,23 @@ func (r Result) BIPS() float64 {
 type entry struct {
 	instr  trace.Instr
 	seq    uint64
-	dep1   uint64 // absolute producer seq; 0 = none
-	dep2   uint64
 	finish uint64 // cycle the result is available; farFuture until issued
-	issued bool
+}
+
+// pending is one unissued window entry in the issue queue. Its ready
+// cycle is max(hist[dep1], hist[dep2]): farFuture while a producer has
+// not issued, and final once both have, because their history slots are
+// not reused while the consumer waits.
+type pending struct {
+	ready      uint64
+	idx        int32  // window index
+	dep1, dep2 uint16 // history slots of the producers; noDep = none
+}
+
+// storeRef is one in-window store as store-to-load forwarding sees it.
+type storeRef struct {
+	seq  uint64
+	word uint64 // address of the 8-byte word written
 }
 
 type fetchedInstr struct {
@@ -142,9 +169,23 @@ type Core struct {
 	winCount int
 	memQUsed int
 
-	// Completion-time history, indexed by seq. Large enough to cover any
-	// dependency distance plus the window.
-	hist [2048]uint64
+	// Issue queue: the unissued window entries in age order.
+	pend  []pending
+	npend int
+	// nextReady is the earliest cycle a pending entry can issue, as of
+	// the last issue stage: that stage's own cycle if an entry was ready
+	// but found no unit, port or MSHR.
+	nextReady uint64
+
+	// In-window stores in age order (a ring), for store-to-load
+	// forwarding.
+	stq     []storeRef
+	stqHead int
+	stqLen  int
+
+	// Completion-time history, indexed by seq modulo histLen, plus the
+	// always-zero noDep slot.
+	hist [histLen + 1]uint64
 
 	// Functional-unit non-pipelined busy tracking.
 	intBusyUntil []uint64
@@ -186,12 +227,13 @@ func New(cfg config.Proc, gen Source) (*Core, error) {
 // Reset reinitialises the core in place for a (possibly different)
 // configuration and trace source, producing a core whose subsequent
 // behaviour is bit-identical to a freshly constructed one. Buffers are
-// reused whenever their shape is unchanged — the instruction window,
-// functional-unit trackers, fetch ring, caches, MSHR files and branch
-// predictor all keep their allocations across evaluations of different
-// applications and configurations — so pooled cores make steady-state
-// evaluation allocation-free. Observability counters attached with
-// Instrument survive a Reset (re-attach to change them).
+// reused whenever their shape is unchanged — the functional-unit
+// trackers, caches, MSHR files and branch predictor all keep their
+// allocations across evaluations of different applications and
+// configurations, and the window, issue queue, store queue and fetch
+// ring whenever their capacity suffices — so pooled cores make
+// steady-state evaluation allocation-free. Observability counters
+// attached with Instrument survive a Reset (re-attach to change them).
 func (c *Core) Reset(cfg config.Proc, gen Source) error {
 	if err := cfg.Validate(); err != nil {
 		return err
@@ -208,15 +250,14 @@ func (c *Core) Reset(cfg config.Proc, gen Source) error {
 	c.winHead = 0
 	c.winCount = 0
 	c.memQUsed = 0
+	c.npend = 0
+	c.stqHead, c.stqLen = 0, 0
 	c.retiredTotal = 0
 	c.c = counters{}
 	clear(c.hist[:]) // everything "already finished" before the run
 
 	c.fetchQCap = cfg.FetchWidth * (cfg.FrontLatency + 2)
-	if cap(c.fq) < c.fetchQCap {
-		c.fq = make([]fetchedInstr, c.fetchQCap)
-	}
-	c.fq = c.fq[:c.fetchQCap]
+	c.fq = resize(c.fq, c.fetchQCap)
 	c.fqHead, c.fqLen = 0, 0
 
 	if c.bpred == nil || old.BPredBytes != cfg.BPredBytes || old.RASEntries != cfg.RASEntries {
@@ -224,9 +265,9 @@ func (c *Core) Reset(cfg config.Proc, gen Source) error {
 	} else {
 		c.bpred.Reset()
 	}
-	if len(c.win) != cfg.WindowSize {
-		c.win = make([]entry, cfg.WindowSize)
-	}
+	c.win = resize(c.win, cfg.WindowSize)
+	c.pend = resize(c.pend, cfg.WindowSize)
+	c.stq = resize(c.stq, cfg.WindowSize)
 	if len(c.intBusyUntil) != cfg.IntALUs {
 		c.intBusyUntil = make([]uint64, cfg.IntALUs)
 	} else {
@@ -255,6 +296,16 @@ func (c *Core) Reset(cfg config.Proc, gen Source) error {
 	return nil
 }
 
+// resize returns s with length n, reusing its backing array when it is
+// large enough. The rings and queues it sizes never read a slot the
+// current run has not written, so stale contents are harmless.
+func resize[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	return s[:n]
+}
+
 // resetCache reuses c when the geometry is unchanged, else builds a
 // fresh cache.
 func resetCache(c *Cache, old, next config.CacheConfig) *Cache {
@@ -262,15 +313,6 @@ func resetCache(c *Cache, old, next config.CacheConfig) *Cache {
 		return NewCache(next)
 	}
 	c.Reset()
-	return c
-}
-
-// MustNew is New, panicking on config errors.
-func MustNew(cfg config.Proc, gen Source) *Core {
-	c, err := New(cfg, gen)
-	if err != nil {
-		panic(err)
-	}
 	return c
 }
 
@@ -322,70 +364,130 @@ func (c *Core) Run(n uint64) Result {
 	return res
 }
 
-// step advances the core by one cycle.
+// step advances the core by one cycle, and then over every following
+// cycle in which no stage could make progress.
 //
 //ramp:hot
 func (c *Core) step() {
-	c.retire()
-	c.issue()
-	c.dispatch()
-	c.fetch()
+	retired := c.retire()
+	issued := c.issue()
+	dispatched := c.dispatch()
+	fetched := c.fetch()
 	c.c.occupancySum += uint64(c.winCount)
-	c.cycle++
+	next := c.cycle + 1
+	if !retired && !issued && !dispatched && !fetched {
+		if wake := c.wakeCycle(); wake > next && wake < farFuture {
+			c.c.occupancySum += uint64(c.winCount) * (wake - next)
+			next = wake
+		}
+	}
+	c.cycle = next
+}
+
+// wakeCycle returns the first cycle after an idle one — a cycle that
+// retired, issued, dispatched and fetched nothing and did not redirect
+// fetch — at which a stage can act again. Every stage is then waiting on
+// a time it already knows: the window head's finish, the earliest known
+// operand-ready cycle in the issue queue, the fetch queue head reaching
+// rename, the end of a fetch stall, or the mispredicted branch's finish.
+// An entry still waiting on an unissued producer wakes only after that
+// producer issues, itself one of these events. Nothing else changes
+// between events (MSHRs are pruned only when a miss or fetch asks for
+// one), so jumping to the earliest of them is exact.
+func (c *Core) wakeCycle() uint64 {
+	wake := c.nextReady
+	if c.winCount > 0 {
+		wake = min(wake, c.win[c.winHead].finish)
+	}
+	// A fetch queue head that has already reached rename waits on a
+	// window or memory queue slot, which only retirement frees.
+	if c.fqLen > 0 && c.fq[c.fqHead].availAt > c.cycle {
+		wake = min(wake, c.fq[c.fqHead].availAt)
+	}
+	// Fetch that fetched nothing is stalled, blocked on a mispredicted
+	// branch, or facing a full queue that only dispatch drains.
+	if c.fetchStallTo > c.cycle {
+		wake = min(wake, c.fetchStallTo)
+	} else if c.fetchBlocked != 0 {
+		wake = min(wake, c.hist[c.fetchBlocked%histLen])
+	}
+	return wake
 }
 
 // ---- Retire ----
 
 //ramp:hot
-func (c *Core) retire() {
-	for k := 0; k < c.cfg.RetireWidth && c.winCount > 0; k++ {
+func (c *Core) retire() bool {
+	k := 0
+	for ; k < c.cfg.RetireWidth && c.winCount > 0; k++ {
 		e := &c.win[c.winHead]
-		if !e.issued || e.finish > c.cycle {
-			return
+		if e.finish > c.cycle {
+			break
 		}
-		if e.instr.Op.IsMem() {
+		switch op := e.instr.Op; {
+		case op == trace.Store:
+			c.stqHead++
+			if c.stqHead == len(c.stq) {
+				c.stqHead = 0
+			}
+			c.stqLen--
 			c.memQUsed--
-		}
-		if e.instr.Op.IsFP() {
+		case op == trace.Load:
+			c.memQUsed--
+		case op.IsFP():
 			c.c.fpRetired++
 		}
 		c.c.winRetire++
-		c.winHead = (c.winHead + 1) % len(c.win)
+		c.winHead++
+		if c.winHead == len(c.win) {
+			c.winHead = 0
+		}
 		c.winCount--
 		c.retiredTotal++
 	}
+	return k > 0
 }
 
 // ---- Issue ----
 
+// issue walks the issue queue oldest first, issuing every entry whose
+// operands are ready and whose unit class has a free slot, and compacts
+// the queue in place around the entries that issued.
+//
 //ramp:hot
-func (c *Core) issue() {
+func (c *Core) issue() bool {
 	intSlots := c.freeUnits(c.intBusyUntil)
 	fpSlots := c.freeUnits(c.fpBusyUntil)
 	aguSlots := c.cfg.AGUs
 	dPorts := c.cfg.L1D.Ports
 
-	for k := 0; k < c.winCount; k++ {
+	pend := c.pend[:c.npend]
+	next := uint64(farFuture)
+	kept, i := 0, 0
+	for ; i < len(pend); i++ {
 		if intSlots == 0 && fpSlots == 0 && (aguSlots == 0 || dPorts == 0) {
-			return
+			break
 		}
-		idx := (c.winHead + k) % len(c.win)
-		e := &c.win[idx]
-		if e.issued {
+		p := pend[i]
+		if p.ready == farFuture {
+			p.ready = max(c.hist[p.dep1], c.hist[p.dep2])
+		}
+		if p.ready > c.cycle {
+			next = min(next, p.ready)
+			pend[kept] = p
+			kept++
 			continue
 		}
-		if !c.depDone(e.dep1) || !c.depDone(e.dep2) {
-			continue
-		}
+		e := &c.win[p.idx]
 		op := e.instr.Op
 		switch {
 		case op == trace.Load || op == trace.Store:
 			if aguSlots == 0 || dPorts == 0 {
-				continue
+				break
 			}
 			lat, ok := c.memLatency(e)
 			if !ok {
-				continue // MSHRs full; retry next cycle
+				break // MSHRs full; retry next cycle
 			}
 			aguSlots--
 			dPorts--
@@ -397,9 +499,10 @@ func (c *Core) issue() {
 			if op == trace.Load {
 				c.c.intRFWrites++
 			}
+			continue
 		case op.IsFP():
 			if fpSlots == 0 {
-				continue
+				break
 			}
 			fpSlots--
 			c.c.fpOps++
@@ -411,9 +514,10 @@ func (c *Core) issue() {
 				c.occupyUnit(c.fpBusyUntil, c.cycle+lat)
 			}
 			c.complete(e, c.cycle+lat)
+			continue
 		default: // integer ALU ops and branches
 			if intSlots == 0 {
-				continue
+				break
 			}
 			intSlots--
 			c.c.intOps++
@@ -430,23 +534,26 @@ func (c *Core) issue() {
 				c.c.intRFWrites++
 			}
 			c.complete(e, c.cycle+lat)
+			continue
 		}
+		// Ready, but its unit class, port or MSHRs are taken this cycle.
+		next = c.cycle
+		pend[kept] = p
+		kept++
 	}
-}
-
-// depDone reports whether the producer with sequence number d (0 = no
-// dependence) has its result available this cycle.
-func (c *Core) depDone(d uint64) bool {
-	if d == 0 {
-		return true
+	issued := kept < i
+	if i < len(pend) { // every unit class is taken; the rest wait
+		next = c.cycle
+		kept += copy(pend[kept:], pend[i:])
 	}
-	return c.hist[d%uint64(len(c.hist))] <= c.cycle
+	c.npend = kept
+	c.nextReady = next
+	return issued
 }
 
 func (c *Core) complete(e *entry, finish uint64) {
-	e.issued = true
 	e.finish = finish
-	c.hist[e.seq%uint64(len(c.hist))] = finish
+	c.hist[e.seq%histLen] = finish
 	c.c.winIssue++
 }
 
@@ -516,19 +623,22 @@ func (c *Core) memLatency(e *entry) (uint64, bool) {
 	return missLat + hitLat, true
 }
 
-// forwardFromStore scans older window entries for an in-flight store to
+// forwardFromStore scans the in-window stores older than load for one to
 // the same 8-byte word.
 func (c *Core) forwardFromStore(load *entry) bool {
 	word := load.instr.Addr &^ 7
-	// Scan backwards from the load towards the window head.
-	for k := 0; k < c.winCount; k++ {
-		idx := (c.winHead + k) % len(c.win)
-		e := &c.win[idx]
-		if e.seq >= load.seq {
+	idx := c.stqHead
+	for k := 0; k < c.stqLen; k++ {
+		st := &c.stq[idx]
+		if st.seq >= load.seq {
 			break
 		}
-		if e.instr.Op == trace.Store && e.instr.Addr&^7 == word {
+		if st.word == word {
 			return true
+		}
+		idx++
+		if idx == len(c.stq) {
+			idx = 0
 		}
 	}
 	return false
@@ -536,42 +646,60 @@ func (c *Core) forwardFromStore(load *entry) bool {
 
 // ---- Dispatch (rename) ----
 
+// dispatch moves up to FetchWidth instructions from the fetch queue into
+// the window, appending each to the issue queue (ready cycle not yet
+// known) and each store to the store queue.
+//
 //ramp:hot
-func (c *Core) dispatch() {
-	for k := 0; k < c.cfg.FetchWidth; k++ {
+func (c *Core) dispatch() bool {
+	k := 0
+	for ; k < c.cfg.FetchWidth; k++ {
 		if c.fqLen == 0 || c.winCount == len(c.win) {
-			return
+			break
 		}
 		f := &c.fq[c.fqHead]
 		if f.availAt > c.cycle {
-			return
+			break
 		}
-		if f.instr.Op.IsMem() && c.memQUsed >= c.cfg.MemQueueSize {
-			return
+		op := f.instr.Op
+		if op.IsMem() && c.memQUsed >= c.cfg.MemQueueSize {
+			break
 		}
-		e := entry{
-			instr:  f.instr,
-			seq:    f.seq,
-			finish: farFuture,
+		idx := c.winHead + c.winCount
+		if idx >= len(c.win) {
+			idx -= len(c.win)
 		}
-		if d := f.instr.Dep1; d > 0 && uint64(d) < e.seq {
-			e.dep1 = e.seq - uint64(d)
-		}
-		if d := f.instr.Dep2; d > 0 && uint64(d) < e.seq {
-			e.dep2 = e.seq - uint64(d)
-		}
-		c.hist[e.seq%uint64(len(c.hist))] = farFuture
-		idx := (c.winHead + c.winCount) % len(c.win)
-		c.win[idx] = e
+		c.win[idx] = entry{instr: f.instr, seq: f.seq, finish: farFuture}
 		c.winCount++
-		if f.instr.Op.IsMem() {
+		p := pending{ready: farFuture, idx: int32(idx), dep1: noDep, dep2: noDep}
+		if d := f.instr.Dep1; d > 0 && uint64(d) < f.seq {
+			p.dep1 = uint16((f.seq - uint64(d)) % histLen)
+		}
+		if d := f.instr.Dep2; d > 0 && uint64(d) < f.seq {
+			p.dep2 = uint16((f.seq - uint64(d)) % histLen)
+		}
+		check.Assert(int(max(f.instr.Dep1, f.instr.Dep2)) <= histLen-len(c.win)-c.fetchQCap,
+			"sim.Core.dispatch", "dependency distance reaches a reusable history slot")
+		c.pend[c.npend] = p
+		c.npend++
+		c.hist[f.seq%histLen] = farFuture
+		if op.IsMem() {
 			c.memQUsed++
 			c.c.lsqOps++
+		}
+		if op == trace.Store {
+			st := c.stqHead + c.stqLen
+			if st >= len(c.stq) {
+				st -= len(c.stq)
+			}
+			c.stq[st] = storeRef{seq: f.seq, word: f.instr.Addr &^ 7}
+			c.stqLen++
 		}
 		c.c.winDispatch++
 		c.fqHead = (c.fqHead + 1) % len(c.fq)
 		c.fqLen--
 	}
+	return k > 0
 }
 
 // ---- Fetch ----
@@ -582,24 +710,26 @@ func (c *Core) dispatch() {
 // instruction generator handoff off the heap: this loop runs once per
 // fetched instruction and performs zero allocations.
 //
+// It reports whether it fetched anything or redirected.
+//
 //ramp:hot
-func (c *Core) fetch() {
+func (c *Core) fetch() bool {
 	if c.cycle < c.fetchStallTo {
-		return
+		return false
 	}
 	if c.fetchBlocked != 0 {
-		fin := c.hist[c.fetchBlocked%uint64(len(c.hist))]
+		fin := c.hist[c.fetchBlocked%histLen]
 		if fin > c.cycle {
-			return
+			return false
 		}
 		// Redirect: fetch resumes next cycle.
 		c.fetchBlocked = 0
 		c.fetchStallTo = c.cycle + 1
-		return
+		return true
 	}
 	for k := 0; k < c.cfg.FetchWidth; k++ {
 		if c.fqLen >= c.fetchQCap {
-			return
+			return k > 0
 		}
 		slot := &c.fq[(c.fqHead+c.fqLen)%len(c.fq)]
 		in := &slot.instr
@@ -610,7 +740,7 @@ func (c *Core) fetch() {
 		// Mark the instruction in flight from fetch onwards, so a
 		// mispredicted branch blocks fetch until it actually executes
 		// (not until its stale history slot is consulted).
-		c.hist[c.seq%uint64(len(c.hist))] = farFuture
+		c.hist[c.seq%histLen] = farFuture
 		c.c.fetched++
 
 		// I-cache: account one access per new line touched.
@@ -635,7 +765,7 @@ func (c *Core) fetch() {
 				// The missing instruction reaches rename only after the fill.
 				slot.availAt = c.fetchStallTo + uint64(c.cfg.FrontLatency)
 				c.fqLen++
-				return
+				return true
 			}
 		}
 
@@ -654,16 +784,17 @@ func (c *Core) fetch() {
 			c.fqLen++
 			if !correct {
 				c.fetchBlocked = c.seq
-				return
+				return true
 			}
 			if in.Taken {
 				// Fetch group ends at a predicted-taken branch.
-				return
+				return true
 			}
 			continue
 		}
 		c.fqLen++
 	}
+	return true
 }
 
 // ---- Stats ----

@@ -37,9 +37,18 @@ func (s *scriptSource) Next(out *trace.Instr) {
 	}
 }
 
+// mustNew is New for tests, panicking on config errors.
+func mustNew(cfg config.Proc, gen Source) *Core {
+	c, err := New(cfg, gen)
+	if err != nil {
+		panic(err)
+	}
+	return c
+}
+
 func run(t *testing.T, pattern []trace.Instr, n uint64) Result {
 	t.Helper()
-	c := MustNew(config.Base(), newScript(pattern))
+	c := mustNew(config.Base(), newScript(pattern))
 	c.Run(n / 4) // warmup
 	return c.Run(n)
 }
@@ -113,7 +122,7 @@ func (s *stridedMissSource) Next(out *trace.Instr) {
 }
 
 func TestSerialMissChainSeesMemoryLatency(t *testing.T) {
-	c := MustNew(config.Base(), &stridedMissSource{dep: 1})
+	c := mustNew(config.Base(), &stridedMissSource{dep: 1})
 	r := c.Run(2_000)
 	// Dependent always-miss loads: ~104 cycles each (102 memory + 2 L1).
 	cpi := 1 / r.IPC
@@ -123,7 +132,7 @@ func TestSerialMissChainSeesMemoryLatency(t *testing.T) {
 }
 
 func TestIndependentMissesOverlapViaMSHRs(t *testing.T) {
-	c := MustNew(config.Base(), &stridedMissSource{})
+	c := mustNew(config.Base(), &stridedMissSource{})
 	r := c.Run(5_000)
 	// Independent misses: limited by 12 MSHRs over ~102 cycles, far
 	// better than the serial chain but well below 1 IPC.
@@ -177,7 +186,7 @@ func (s *branchSource) Next(out *trace.Instr) {
 
 func TestMispredictionCostsThroughput(t *testing.T) {
 	runSrc := func(alt bool) Result {
-		c := MustNew(config.Base(), &branchSource{alternate: alt})
+		c := mustNew(config.Base(), &branchSource{alternate: alt})
 		c.Run(10_000)
 		return c.Run(40_000)
 	}
@@ -196,7 +205,7 @@ func TestMispredictionCostsThroughput(t *testing.T) {
 
 func TestActivitiesInRange(t *testing.T) {
 	g := trace.MustNewGenerator(trace.Bzip2(), 1)
-	c := MustNew(config.Base(), g)
+	c := mustNew(config.Base(), g)
 	r := c.Run(50_000)
 	for s := floorplan.Structure(0); s < floorplan.NumStructures; s++ {
 		a := r.Activity[s]
@@ -223,7 +232,7 @@ func TestIntOnlyWorkloadHasNoFPActivity(t *testing.T) {
 func TestDeterminism(t *testing.T) {
 	mk := func() Result {
 		g := trace.MustNewGenerator(trace.Gzip(), 42)
-		c := MustNew(config.Base(), g)
+		c := mustNew(config.Base(), g)
 		c.Run(20_000)
 		return c.Run(50_000)
 	}
@@ -235,7 +244,7 @@ func TestDeterminism(t *testing.T) {
 
 func TestRunAccumulates(t *testing.T) {
 	g := trace.MustNewGenerator(trace.Twolf(), 1)
-	c := MustNew(config.Base(), g)
+	c := mustNew(config.Base(), g)
 	r1 := c.Run(10_000)
 	r2 := c.Run(10_000)
 	// Run completes whole cycles, so it may overshoot by up to one
@@ -256,7 +265,7 @@ func TestRunAccumulates(t *testing.T) {
 func TestWindowOccupancyBounded(t *testing.T) {
 	g := trace.MustNewGenerator(trace.Art(), 1)
 	cfg := config.Base()
-	c := MustNew(cfg, g)
+	c := mustNew(cfg, g)
 	r := c.Run(30_000)
 	if r.WindowOccupancy > float64(cfg.WindowSize) {
 		t.Fatalf("occupancy %v exceeds window %d", r.WindowOccupancy, cfg.WindowSize)
@@ -271,7 +280,7 @@ func TestSmallerWindowNeverFaster(t *testing.T) {
 		g := trace.MustNewGenerator(trace.MPGdec(), 1)
 		cfg := config.Base()
 		cfg.WindowSize = w
-		c := MustNew(cfg, g)
+		c := mustNew(cfg, g)
 		c.Run(50_000)
 		return c.Run(100_000).IPC
 	}
@@ -289,7 +298,7 @@ func TestFrequencyScalingHurtsIPC(t *testing.T) {
 	// memory latency and IPC must drop for a memory-bound app.
 	ipc := func(f float64) float64 {
 		g := trace.MustNewGenerator(trace.Art(), 1)
-		c := MustNew(config.Base().WithOperatingPoint(f), g)
+		c := mustNew(config.Base().WithOperatingPoint(f), g)
 		c.Run(50_000)
 		return c.Run(100_000).IPC
 	}
@@ -301,7 +310,7 @@ func TestFrequencyScalingHurtsIPC(t *testing.T) {
 
 func TestTimeSecUsesFrequency(t *testing.T) {
 	g := trace.MustNewGenerator(trace.Gzip(), 1)
-	c := MustNew(config.Base().WithOperatingPoint(2.5e9), g)
+	c := mustNew(config.Base().WithOperatingPoint(2.5e9), g)
 	r := c.Run(10_000)
 	want := float64(r.Cycles) / 2.5e9
 	if r.TimeSec != want {
@@ -338,7 +347,7 @@ func TestICacheFootprintMatters(t *testing.T) {
 			}},
 		}
 		g := trace.MustNewGenerator(p, 1)
-		c := MustNew(config.Base(), g)
+		c := mustNew(config.Base(), g)
 		c.Run(50_000)
 		return c.Run(100_000).IPC
 	}

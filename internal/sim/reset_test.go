@@ -12,10 +12,10 @@ import (
 // a fresh core: reuse must be observationally indistinguishable from
 // construction (this is the contract the exp arena relies on).
 func TestResetBitIdenticalAcrossProfiles(t *testing.T) {
-	reused := MustNew(config.Base(), newScript([]trace.Instr{{Op: trace.IntAlu}}))
+	reused := mustNew(config.Base(), newScript([]trace.Instr{{Op: trace.IntAlu}}))
 	reused.Run(5_000) // dirty every structure before the first Reset
 	for _, app := range trace.Apps() {
-		fresh := MustNew(config.Base(), trace.MustNewGenerator(app, 7))
+		fresh := mustNew(config.Base(), trace.MustNewGenerator(app, 7))
 		fresh.Run(20_000)
 		var want [3]Result
 		for i := range want {
@@ -41,10 +41,10 @@ func TestResetBitIdenticalAcrossProfiles(t *testing.T) {
 // against a fresh core, covering the buffer-resize paths of Reset.
 func TestResetBitIdenticalAcrossConfigs(t *testing.T) {
 	app := trace.Gzip()
-	reused := MustNew(config.Base(), trace.MustNewGenerator(app, 3))
+	reused := mustNew(config.Base(), trace.MustNewGenerator(app, 3))
 	reused.Run(5_000)
 	for _, proc := range config.ArchConfigs() {
-		fresh := MustNew(proc, trace.MustNewGenerator(app, 3))
+		fresh := mustNew(proc, trace.MustNewGenerator(app, 3))
 		fresh.Run(10_000)
 		want := fresh.Run(20_000)
 
@@ -62,7 +62,7 @@ func TestResetBitIdenticalAcrossConfigs(t *testing.T) {
 // TestResetRejectsInvalidConfig checks that Reset validates like New and
 // leaves no half-reset state behind on error paths callers might retry.
 func TestResetRejectsInvalidConfig(t *testing.T) {
-	c := MustNew(config.Base(), newScript([]trace.Instr{{Op: trace.IntAlu}}))
+	c := mustNew(config.Base(), newScript([]trace.Instr{{Op: trace.IntAlu}}))
 	bad := config.Base()
 	bad.WindowSize = 0
 	if err := c.Reset(bad, newScript([]trace.Instr{{Op: trace.IntAlu}})); err == nil {
@@ -75,7 +75,7 @@ func TestResetRejectsInvalidConfig(t *testing.T) {
 // the line on the fetch-path escape the ring-buffer fetch queue removed.
 func TestCoreRunSteadyStateZeroAlloc(t *testing.T) {
 	g := trace.MustNewGenerator(trace.Gzip(), 1)
-	c := MustNew(config.Base(), g)
+	c := mustNew(config.Base(), g)
 	c.Run(50_000) // warm caches, predictor, MSHR backing arrays
 	if allocs := testing.AllocsPerRun(5, func() { c.Run(10_000) }); allocs != 0 {
 		t.Fatalf("steady-state Run allocated %.0f objects/op, want 0", allocs)
@@ -86,7 +86,7 @@ func TestCoreRunSteadyStateZeroAlloc(t *testing.T) {
 // same-shape Reset must reuse every buffer.
 func TestCoreResetZeroAlloc(t *testing.T) {
 	g := trace.MustNewGenerator(trace.Gzip(), 1)
-	c := MustNew(config.Base(), g)
+	c := mustNew(config.Base(), g)
 	c.Run(10_000)
 	if allocs := testing.AllocsPerRun(10, func() {
 		if err := c.Reset(config.Base(), g); err != nil {

@@ -6,7 +6,12 @@
 #   scripts/benchdiff.sh BENCH_ci.json          # highest BENCH_<n>.json vs BENCH_ci.json
 #   scripts/benchdiff.sh OLD.json NEW.json      # explicit pair (old first)
 #
-# A benchmark regresses when a metric grows beyond its threshold:
+# Multi-sample (schema 2) snapshots are compared by their medians, and the
+# ns/op spread of each side, (max-min)/median, is printed beside the
+# change so a shift can be told from noise. Single-sample (schema 1)
+# snapshots read as a median with no spread.
+#
+# A benchmark regresses when a median grows beyond its threshold:
 #   ns/op      +15%  (timing is noisy; override with BENCHDIFF_NS_PCT)
 #   B/op        +5%  (BENCHDIFF_B_PCT)
 #   allocs/op   +1%  (allocation counts are deterministic; BENCHDIFF_ALLOCS_PCT)
@@ -45,10 +50,27 @@ fi
 echo "benchdiff: ${old} -> ${new}"
 awk -v ns_pct="${BENCHDIFF_NS_PCT:-15}" -v b_pct="${BENCHDIFF_B_PCT:-5}" \
 	-v allocs_pct="${BENCHDIFF_ALLOCS_PCT:-1}" '
-	function metric(s, key,    pat) {
-		pat = "\"" key "\":[0-9.eE+-]+"
+	# metric returns the median of key in a benchmark line (a schema-1
+	# value is its own median), or -1 when absent; it leaves the spread
+	# (max-min)/median in percent in the global spread, -1 if unknown.
+	function metric(s, key,    pat, num, med, lo, hi) {
+		num = "[0-9.eE+-]+"
+		spread = -1
+		pat = "\"" key "\":\\{\"median\":" num ",\"min\":" num ",\"max\":" num "\\}"
+		if (match(s, pat)) {
+			split(substr(s, RSTART, RLENGTH), f, /[:,}]/)
+			med = f[3] + 0
+			lo = f[5] + 0
+			hi = f[7] + 0
+			if (med > 0) spread = (hi - lo) * 100 / med
+			return med
+		}
+		pat = "\"" key "\":" num
 		if (match(s, pat)) return substr(s, RSTART + length(key) + 3, RLENGTH - length(key) - 3) + 0
 		return -1
+	}
+	function fmtspread(p) {
+		return p < 0 ? "     -" : sprintf("%5.1f%%", p)
 	}
 	function fmt(old, new,    pct) {
 		if (old < 0 || new < 0) return "        -"
@@ -65,6 +87,7 @@ awk -v ns_pct="${BENCHDIFF_NS_PCT:-15}" -v b_pct="${BENCHDIFF_B_PCT:-5}" \
 		name = substr($0, RSTART + 8, RLENGTH - 9)
 		if (FNR == NR) {
 			ons[name] = metric($0, "ns/op")
+			osp[name] = spread
 			ob[name] = metric($0, "B/op")
 			oa[name] = metric($0, "allocs/op")
 			seen[name] = 1
@@ -72,16 +95,17 @@ awk -v ns_pct="${BENCHDIFF_NS_PCT:-15}" -v b_pct="${BENCHDIFF_B_PCT:-5}" \
 		}
 		order[n++] = name
 		nns[name] = metric($0, "ns/op")
+		nsp[name] = spread
 		nb[name] = metric($0, "B/op")
 		na[name] = metric($0, "allocs/op")
 	}
 	END {
-		printf "%-36s %9s %9s %9s\n", "benchmark", "ns/op", "B/op", "allocs/op"
+		printf "%-36s %9s %15s %9s %9s\n", "benchmark", "ns/op", "spread old/new", "B/op", "allocs/op"
 		bad = 0
 		for (i = 0; i < n; i++) {
 			name = order[i]
 			if (!(name in seen)) {
-				printf "%-36s %9s %9s %9s  (new benchmark)\n", name, "-", "-", "-"
+				printf "%-36s %9s %15s %9s %9s  (new benchmark)\n", name, "-", "-", "-", "-"
 				continue
 			}
 			mark = ""
@@ -91,8 +115,9 @@ awk -v ns_pct="${BENCHDIFF_NS_PCT:-15}" -v b_pct="${BENCHDIFF_B_PCT:-5}" \
 				mark = "  REGRESSED"
 				bad++
 			}
-			printf "%-36s %9s %9s %9s%s\n", name,
-				fmt(ons[name], nns[name]), fmt(ob[name], nb[name]),
+			printf "%-36s %9s %15s %9s %9s%s\n", name,
+				fmt(ons[name], nns[name]), fmtspread(osp[name]) "/" fmtspread(nsp[name]),
+				fmt(ob[name], nb[name]),
 				fmt(oa[name], na[name]), mark
 			delete seen[name]
 		}
