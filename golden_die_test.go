@@ -50,7 +50,10 @@ func TestGoldenDieEquivalence(t *testing.T) {
 	// RAMP: replaying the evaluation's epoch rows through a one-core
 	// DieEngine reproduces the evaluation's own Assessment byte for byte
 	// (same accumulation order, same budget — TargetFIT/1 is exact).
-	de := core.MustNewDieEngine(die, env.Params, qual)
+	de, err := core.NewDieEngine(die, env.Params, qual)
+	if err != nil {
+		t.Fatal(err)
+	}
 	on := power.OnFractions(env.Base, env.Base)
 	for i := range res.Epochs {
 		row := &res.Epochs[i]

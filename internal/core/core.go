@@ -265,6 +265,29 @@ func (q Qualification) Validate() error {
 	return nil
 }
 
+// CheckTqual reports whether tqualK lies in the open domain of
+// qualification temperatures the model can assess, AmbientK < T_qual <
+// SMT0K: at or below the thermal cycle's cold end TC's qualification
+// rate is zero, and at the stress-free temperature SM's is, so no budget
+// can be built. field names the value in the error. The check is float
+// comparisons only, cheap enough for request validation on every cache
+// hit.
+func (p Params) CheckTqual(field string, tqualK float64) error {
+	if tqualK > p.AmbientK && tqualK < p.SMT0K {
+		return nil
+	}
+	return fmt.Errorf("%s %g outside the qualification domain (%g, %g) K", field, tqualK, p.AmbientK, p.SMT0K)
+}
+
+// CheckQualification reports whether the model can assess q: q is
+// well-formed and its T_qual lies in p's domain (CheckTqual).
+func (p Params) CheckQualification(q Qualification) error {
+	if err := q.Validate(); err != nil {
+		return err
+	}
+	return p.CheckTqual("core: T_qual", q.TqualK)
+}
+
 // Conditions returns the qualification operating point as Conditions
 // (fully powered on).
 func (q Qualification) Conditions() Conditions {
@@ -290,7 +313,7 @@ func NewBudget(fp *floorplan.Floorplan, p Params, q Qualification) (*Budget, err
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}
-	if err := q.Validate(); err != nil {
+	if err := p.CheckQualification(q); err != nil {
 		return nil, err
 	}
 	b := &Budget{}

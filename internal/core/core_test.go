@@ -17,6 +17,36 @@ func qual() Qualification {
 	}
 }
 
+// mustNewEngine is NewEngine, failing the test on invalid inputs.
+func mustNewEngine(t testing.TB, fp *floorplan.Floorplan, p Params, q Qualification) *Engine {
+	t.Helper()
+	e, err := NewEngine(fp, p, q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return e
+}
+
+// mustNewDieEngine is NewDieEngine, failing the test on invalid inputs.
+func mustNewDieEngine(t testing.TB, die *floorplan.Die, p Params, q Qualification) *DieEngine {
+	t.Helper()
+	d, err := NewDieEngine(die, p, q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return d
+}
+
+// mustAssess is e.Assess, failing the test if nothing was observed.
+func mustAssess(t testing.TB, e *Engine) Assessment {
+	t.Helper()
+	a, err := e.Assess()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return a
+}
+
 func conds(tempK float64) Conditions {
 	return Conditions{TempK: tempK, VddV: 1.0, FreqHz: 4e9, Activity: 0.5, OnFraction: 1}
 }
@@ -176,13 +206,40 @@ func TestBudgetAllocation(t *testing.T) {
 	}
 }
 
+func TestTqualDomainIsWhereTheBudgetExists(t *testing.T) {
+	// CheckTqual's open interval (AmbientK, SMT0K) is exactly where every
+	// qualification rate is positive: NewBudget succeeds inside it and
+	// fails at and beyond both ends, where TC's or SM's rate is zero.
+	fp := floorplan.R10000Like()
+	p := params()
+	for _, tq := range []float64{0, 250, 290, p.AmbientK, p.AmbientK + 0.01, 295, 400, p.SMT0K - 0.01, p.SMT0K, 520, math.NaN()} {
+		q := qual()
+		q.TqualK = tq
+		_, budgetErr := NewBudget(fp, p, q)
+		domainErr := p.CheckTqual("T_qual", tq)
+		if (budgetErr == nil) != (domainErr == nil) {
+			t.Errorf("T_qual %v: NewBudget err %v, CheckTqual err %v", tq, budgetErr, domainErr)
+		}
+	}
+	// The ends are the model's own zeros, not a policy choice.
+	if r := p.TCRate(p.AmbientK); r != 0 {
+		t.Errorf("TC rate at the ambient = %v, want 0", r)
+	}
+	if r := p.SMRate(conds(p.SMT0K)); r != 0 {
+		t.Errorf("SM rate at T0 = %v, want 0", r)
+	}
+	if err := p.CheckTqual("tqual_k", 280); err == nil || err.Error() != "tqual_k 280 outside the qualification domain (293, 500) K" {
+		t.Errorf("CheckTqual(280) = %v", err)
+	}
+}
+
 func TestQualificationRoundTrip(t *testing.T) {
 	// Running forever at exactly the qualification conditions must yield
 	// exactly the target FIT value — the defining property of the
 	// budget-ratio formulation.
 	fp := floorplan.R10000Like()
 	q := qual()
-	e := MustNewEngine(fp, params(), q)
+	e := mustNewEngine(t, fp, params(), q)
 	iv := Interval{DurationSec: 1}
 	for s := range iv.Structures {
 		iv.Structures[s] = q.Conditions()
@@ -190,7 +247,7 @@ func TestQualificationRoundTrip(t *testing.T) {
 	if err := e.Observe(iv); err != nil {
 		t.Fatal(err)
 	}
-	a := e.MustAssess()
+	a := mustAssess(t, e)
 	if math.Abs(a.TotalFIT-q.TargetFIT) > 1e-6 {
 		t.Fatalf("FIT at qualification point = %v, want %v", a.TotalFIT, q.TargetFIT)
 	}
@@ -229,7 +286,7 @@ func TestTimeAveraging(t *testing.T) {
 	p := params()
 	q := qual()
 
-	mkEngine := func() *Engine { return MustNewEngine(fp, p, q) }
+	mkEngine := func() *Engine { return mustNewEngine(t, fp, p, q) }
 	observe := func(e *Engine, temp, dur float64) {
 		iv := Interval{DurationSec: dur}
 		for s := range iv.Structures {
@@ -242,16 +299,16 @@ func TestTimeAveraging(t *testing.T) {
 
 	eHot := mkEngine()
 	observe(eHot, 390, 1)
-	hot := eHot.MustAssess()
+	hot := mustAssess(t, eHot)
 
 	eCold := mkEngine()
 	observe(eCold, 350, 1)
-	cold := eCold.MustAssess()
+	cold := mustAssess(t, eCold)
 
 	eMix := mkEngine()
 	observe(eMix, 390, 1)
 	observe(eMix, 350, 1)
-	mix := eMix.MustAssess()
+	mix := mustAssess(t, eMix)
 
 	for _, m := range []Mechanism{EM, SM, TDDB} {
 		want := (hot.ByMechanism()[m] + cold.ByMechanism()[m]) / 2
@@ -274,7 +331,7 @@ func TestTimeAveraging(t *testing.T) {
 
 func TestEngineValidation(t *testing.T) {
 	fp := floorplan.R10000Like()
-	e := MustNewEngine(fp, params(), qual())
+	e := mustNewEngine(t, fp, params(), qual())
 	if _, err := e.Assess(); err == nil {
 		t.Fatal("Assess with no observations should error")
 	}
@@ -289,7 +346,7 @@ func TestEngineValidation(t *testing.T) {
 
 func TestEngineReset(t *testing.T) {
 	fp := floorplan.R10000Like()
-	e := MustNewEngine(fp, params(), qual())
+	e := mustNewEngine(t, fp, params(), qual())
 	iv := Interval{DurationSec: 1}
 	for s := range iv.Structures {
 		iv.Structures[s] = conds(390)
@@ -304,14 +361,14 @@ func TestEngineReset(t *testing.T) {
 	if err := e.Observe(iv); err != nil {
 		t.Fatal(err)
 	}
-	if e.MustAssess().Intervals != 1 {
+	if mustAssess(t, e).Intervals != 1 {
 		t.Fatal("reset did not clear interval count")
 	}
 }
 
 func TestAssessmentBreakdownsSum(t *testing.T) {
 	fp := floorplan.R10000Like()
-	e := MustNewEngine(fp, params(), qual())
+	e := mustNewEngine(t, fp, params(), qual())
 	iv := Interval{DurationSec: 2}
 	for s := range iv.Structures {
 		iv.Structures[s] = conds(380)
@@ -319,7 +376,7 @@ func TestAssessmentBreakdownsSum(t *testing.T) {
 	if err := e.Observe(iv); err != nil {
 		t.Fatal(err)
 	}
-	a := e.MustAssess()
+	a := mustAssess(t, e)
 	var byMech, byStruct float64
 	for _, x := range a.ByMechanism() {
 		byMech += x

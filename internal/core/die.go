@@ -45,15 +45,6 @@ func NewDieEngine(die *floorplan.Die, p Params, q Qualification) (*DieEngine, er
 	return d, nil
 }
 
-// MustNewDieEngine is NewDieEngine, panicking on invalid inputs.
-func MustNewDieEngine(die *floorplan.Die, p Params, q Qualification) *DieEngine {
-	d, err := NewDieEngine(die, p, q)
-	if err != nil {
-		panic(err)
-	}
-	return d
-}
-
 // NCores returns the die's core count.
 func (d *DieEngine) NCores() int { return len(d.cores) }
 

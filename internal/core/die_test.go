@@ -20,8 +20,8 @@ func dieInterval(tempK float64) Interval {
 // is the identical float), same accumulators, same assessment.
 func TestDieEngineN1MatchesEngine(t *testing.T) {
 	fp := floorplan.R10000Like()
-	e := MustNewEngine(fp, params(), qual())
-	d := MustNewDieEngine(floorplan.MustNewDie(fp, 1), params(), qual())
+	e := mustNewEngine(t, fp, params(), qual())
+	d := mustNewDieEngine(t, floorplan.MustNewDie(fp, 1), params(), qual())
 
 	be, bd := e.Budget(), d.Core(0).Budget()
 	if be.Alloc != bd.Alloc || be.QualRate != bd.QualRate {
@@ -37,7 +37,7 @@ func TestDieEngineN1MatchesEngine(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	want := e.MustAssess()
+	want := mustAssess(t, e)
 	got, err := d.Assess()
 	if err != nil {
 		t.Fatal(err)
@@ -60,8 +60,8 @@ func TestDieEngineN1MatchesEngine(t *testing.T) {
 func TestDieEngineBudgetSplit(t *testing.T) {
 	fp := floorplan.R10000Like()
 	n := 4
-	d := MustNewDieEngine(floorplan.MustNewDie(fp, n), params(), qual())
-	chip := MustNewEngine(fp, params(), qual())
+	d := mustNewDieEngine(t, floorplan.MustNewDie(fp, n), params(), qual())
+	chip := mustNewEngine(t, fp, params(), qual())
 
 	var sum float64
 	for k := 0; k < n; k++ {
@@ -85,7 +85,7 @@ func TestDieEngineBudgetSplit(t *testing.T) {
 // MinCoreMTTFYears, and per-core wear accumulates independently.
 func TestDieEngineSOFR(t *testing.T) {
 	fp := floorplan.R10000Like()
-	d := MustNewDieEngine(floorplan.MustNewDie(fp, 4), params(), qual())
+	d := mustNewDieEngine(t, floorplan.MustNewDie(fp, 4), params(), qual())
 
 	temps := []float64{350, 365, 380, 340} // core 2 runs hottest
 	for e := 0; e < 5; e++ {
@@ -120,7 +120,7 @@ func TestDieEngineSOFR(t *testing.T) {
 	}
 
 	// Assessing an unobserved die fails per-core.
-	d2 := MustNewDieEngine(floorplan.MustNewDie(fp, 2), params(), qual())
+	d2 := mustNewDieEngine(t, floorplan.MustNewDie(fp, 2), params(), qual())
 	if _, err := d2.Assess(); err == nil {
 		t.Fatal("Assess on unobserved die should fail")
 	}
@@ -129,7 +129,7 @@ func TestDieEngineSOFR(t *testing.T) {
 // TestObserveCoreAllocFree pins the per-core observe hot path: zero heap
 // allocations per interval.
 func TestObserveCoreAllocFree(t *testing.T) {
-	d := MustNewDieEngine(floorplan.MustNewDie(floorplan.R10000Like(), 4), params(), qual())
+	d := mustNewDieEngine(t, floorplan.MustNewDie(floorplan.R10000Like(), 4), params(), qual())
 	iv := dieInterval(355)
 	allocs := testing.AllocsPerRun(100, func() {
 		if err := d.ObserveCore(1, iv); err != nil {

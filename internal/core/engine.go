@@ -48,15 +48,6 @@ func NewEngine(fp *floorplan.Floorplan, p Params, q Qualification) (*Engine, err
 	return &Engine{params: p, budget: b}, nil
 }
 
-// MustNewEngine is NewEngine, panicking on invalid inputs.
-func MustNewEngine(fp *floorplan.Floorplan, p Params, q Qualification) *Engine {
-	e, err := NewEngine(fp, p, q)
-	if err != nil {
-		panic(err)
-	}
-	return e
-}
-
 // Budget exposes the engine's qualification budget.
 func (e *Engine) Budget() *Budget { return e.budget }
 
@@ -194,15 +185,6 @@ func (e *Engine) Assess() (Assessment, error) {
 	}
 	check.NonNegative("core.Engine.Assess.TotalFIT", a.TotalFIT)
 	return a, nil
-}
-
-// MustAssess is Assess, panicking if nothing was observed.
-func (e *Engine) MustAssess() Assessment {
-	a, err := e.Assess()
-	if err != nil {
-		panic(err)
-	}
-	return a
 }
 
 // ConstantConditionsFIT is a convenience for steady-state analysis: the

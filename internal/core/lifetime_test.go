@@ -11,7 +11,7 @@ import (
 // assessAt builds an Assessment by observing constant conditions.
 func assessAt(t *testing.T, tempK float64) Assessment {
 	t.Helper()
-	e := MustNewEngine(floorplan.R10000Like(), params(), qual())
+	e := mustNewEngine(t, floorplan.R10000Like(), params(), qual())
 	iv := Interval{DurationSec: 1}
 	for s := range iv.Structures {
 		iv.Structures[s] = conds(tempK)
@@ -19,7 +19,7 @@ func assessAt(t *testing.T, tempK float64) Assessment {
 	if err := e.Observe(iv); err != nil {
 		t.Fatal(err)
 	}
-	return e.MustAssess()
+	return mustAssess(t, e)
 }
 
 func TestWorkloadFIT(t *testing.T) {
@@ -220,8 +220,8 @@ func TestLifetimeMonotonicityQuick(t *testing.T) {
 		if t1 > t2 {
 			t1, t2 = t2, t1
 		}
-		cool, err1 := NewLifetimeModel(assessQuick(t1), shapes)
-		hot, err2 := NewLifetimeModel(assessQuick(t2), shapes)
+		cool, err1 := NewLifetimeModel(assessAt(t, t1), shapes)
+		hot, err2 := NewLifetimeModel(assessAt(t, t2), shapes)
 		if err1 != nil || err2 != nil {
 			return false
 		}
@@ -232,16 +232,4 @@ func TestLifetimeMonotonicityQuick(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 25}); err != nil {
 		t.Fatal(err)
 	}
-}
-
-func assessQuick(tempK float64) Assessment {
-	e := MustNewEngine(floorplan.R10000Like(), params(), qual())
-	iv := Interval{DurationSec: 1}
-	for s := range iv.Structures {
-		iv.Structures[s] = conds(tempK)
-	}
-	if err := e.Observe(iv); err != nil {
-		panic(err)
-	}
-	return e.MustAssess()
 }

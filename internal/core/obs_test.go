@@ -13,8 +13,8 @@ import (
 // structure-major engine over the same interval stream.
 func TestObserveTimedBitwiseIdentical(t *testing.T) {
 	fp := floorplan.R10000Like()
-	plain := MustNewEngine(fp, params(), qual())
-	timed := MustNewEngine(fp, params(), qual())
+	plain := mustNewEngine(t, fp, params(), qual())
+	timed := mustNewEngine(t, fp, params(), qual())
 	timed.SetTimers(NewFITTimers(obs.NewRegistry()))
 
 	// A varied interval stream: temperatures, activities and durations
@@ -37,8 +37,8 @@ func TestObserveTimedBitwiseIdentical(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	pa := plain.MustAssess()
-	ta := timed.MustAssess()
+	pa := mustAssess(t, plain)
+	ta := mustAssess(t, timed)
 	if pa != ta {
 		t.Errorf("timed assessment diverges from untimed:\nplain: %+v\ntimed: %+v", pa, ta)
 	}
@@ -48,7 +48,7 @@ func TestObserveTimedBitwiseIdentical(t *testing.T) {
 // survive Reset.
 func TestFITTimersAccumulate(t *testing.T) {
 	reg := obs.NewRegistry()
-	e := MustNewEngine(floorplan.R10000Like(), params(), qual())
+	e := mustNewEngine(t, floorplan.R10000Like(), params(), qual())
 	e.SetTimers(NewFITTimers(reg))
 	iv := Interval{DurationSec: 1}
 	for s := range iv.Structures {
@@ -59,7 +59,7 @@ func TestFITTimersAccumulate(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	e.MustAssess()
+	mustAssess(t, e)
 	for _, name := range []string{
 		"core_fit_compute_ns_em", "core_fit_compute_ns_sm",
 		"core_fit_compute_ns_tddb", "core_fit_compute_ns_tc",

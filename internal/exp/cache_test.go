@@ -106,6 +106,25 @@ func TestCacheKeyIgnoresCosmeticName(t *testing.T) {
 	sameAggregates(t, "renamed config", r1, r2)
 }
 
+func TestUnassessableQualificationNeverPoisonsTheKey(t *testing.T) {
+	// The cache key omits T_qual. At 280 K (at or below the thermal
+	// cycle's cold end, TC's qualification rate is zero) the model
+	// cannot build a budget; the evaluation must fail before it
+	// simulates, or its error would be cached and returned for every
+	// later T_qual of the same point.
+	env := quickEnv()
+	app := trace.Twolf()
+	if _, err := env.Evaluate(app, env.Base, env.Qualification(280)); err == nil {
+		t.Fatal("Evaluate at T_qual 280 K should fail")
+	}
+	if cs := env.CacheStats(); cs.Misses != 0 || cs.Entries != 0 {
+		t.Fatalf("unassessable qualification reached the cache: %+v", cs)
+	}
+	if _, err := env.Evaluate(app, env.Base, env.Qualification(400)); err != nil {
+		t.Fatalf("Evaluate at 400 K after a rejected 280 K: %v", err)
+	}
+}
+
 func TestDropEpochRows(t *testing.T) {
 	opts := QuickOptions()
 	opts.DropEpochRows = true

@@ -237,6 +237,12 @@ func (e *Env) Evaluate(app trace.Profile, proc config.Proc, qual core.Qualificat
 // afresh; a waiter that joined a flight whose leader was cancelled or
 // panicked retakes leadership itself.
 func (e *Env) EvaluateCtx(ctx context.Context, app trace.Profile, proc config.Proc, qual core.Qualification) (Result, error) {
+	// The cache key omits qual, so a qualification the model cannot
+	// assess must fail here: as a flight's error it would be cached for
+	// every later T_qual of the same point.
+	if err := e.Params.CheckQualification(qual); err != nil {
+		return Result{}, err
+	}
 	key := e.keyFor(app.Name, proc)
 	var ent *cacheEntry
 	for {

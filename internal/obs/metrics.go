@@ -384,9 +384,10 @@ func writePromHistogram(w io.Writer, family, labels string, h HistogramSnapshot)
 	}
 }
 
-// WritePromHistogram is the labeled-histogram helper the serve layer
-// uses to render its hand-rolled latency histograms alongside the
-// registry's instruments.
+// WritePromHistogram emits one labelled series of a histogram family,
+// for callers that group several registry histograms under one family
+// (rampserve renders its latency_us_<route> histograms as
+// rampserve_latency_us{route="<route>"}).
 func WritePromHistogram(w io.Writer, family, labels string, h HistogramSnapshot) {
 	writePromHistogram(w, family, labels, h)
 }

@@ -16,7 +16,21 @@ func engine(t *testing.T) *core.Engine {
 		TqualK: 400, VqualV: 1, FqualHz: 4e9, Aqual: 0.5,
 		TargetFIT: core.StandardTargetFIT,
 	}
-	return core.MustNewEngine(floorplan.R10000Like(), core.DefaultParams(core.TCAmbientK), q)
+	e, err := core.NewEngine(floorplan.R10000Like(), core.DefaultParams(core.TCAmbientK), q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return e
+}
+
+// mustAssess is e.Assess, failing the test if nothing was observed.
+func mustAssess(t *testing.T, e *core.Engine) core.Assessment {
+	t.Helper()
+	a, err := e.Assess()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return a
 }
 
 func interval(tempK, activity float64) core.Interval {
@@ -148,7 +162,7 @@ func TestHarnessSensedFITTracksIdeal(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	idealFIT := ideal.MustAssess().TotalFIT
+	idealFIT := mustAssess(t, ideal).TotalFIT
 
 	temps, err := NewTempArray(DefaultTempSensors(), 5)
 	if err != nil {
@@ -164,7 +178,7 @@ func TestHarnessSensedFITTracksIdeal(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	sensedFIT := sensedEngine.MustAssess().TotalFIT
+	sensedFIT := mustAssess(t, sensedEngine).TotalFIT
 	relErr := math.Abs(sensedFIT-idealFIT) / idealFIT
 	if relErr > 0.25 {
 		t.Fatalf("sensed FIT %v vs ideal %v (%.1f%% error)", sensedFIT, idealFIT, relErr*100)
@@ -197,8 +211,8 @@ func TestHarnessCoarserSensorsHurt(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
-			e := math.Abs(sensed.MustAssess().TotalFIT-ideal.MustAssess().TotalFIT) /
-				ideal.MustAssess().TotalFIT
+			e := math.Abs(mustAssess(t, sensed).TotalFIT-mustAssess(t, ideal).TotalFIT) /
+				mustAssess(t, ideal).TotalFIT
 			if e > worst {
 				worst = e
 			}

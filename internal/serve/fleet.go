@@ -125,8 +125,8 @@ func (s *Server) normalizeFleet(req *FleetRequest) (EvaluateRequest, string, err
 		return EvaluateRequest{}, "", fmt.Errorf("tquals_k lists %d temperatures (max %d)", len(req.TqualsK), fleetMaxTquals)
 	}
 	for _, tq := range req.TqualsK {
-		if tq < 250 || tq > 500 {
-			return EvaluateRequest{}, "", fmt.Errorf("tquals_k %g outside the plausible qualification range [250, 500]", tq)
+		if err := s.env.Params.CheckTqual("tquals_k", tq); err != nil {
+			return EvaluateRequest{}, "", err
 		}
 	}
 	if req.Duty == 0 {
@@ -184,7 +184,7 @@ func fleetScenarios(req *FleetRequest) []fleet.Scenario {
 
 // handleFleet serves POST /v1/fleet.
 func (s *Server) handleFleet(w http.ResponseWriter, r *http.Request) {
-	s.metrics.requestsFleet.Add(1)
+	s.metrics.requestsFleet.Inc()
 	var req FleetRequest
 	if err := decodeRequest(r, &req); err != nil {
 		s.writeError(w, http.StatusBadRequest, "%v", err)
@@ -213,7 +213,7 @@ func (s *Server) handleFleet(w http.ResponseWriter, r *http.Request) {
 	var jobErr error
 	poolErr := s.pool.run(ctx, func() {
 		start := time.Now()
-		defer func() { s.metrics.latFleet.observe(time.Since(start)) }()
+		defer observeSince(s.metrics.latFleet, start)
 
 		// One simulation feeds every policy: the per-T_qual assessments
 		// are requalifications of the same evaluated result.

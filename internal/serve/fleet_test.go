@@ -113,6 +113,7 @@ func FuzzFleetRequest(f *testing.F) {
 	f.Add(fleetBody)
 	f.Add(`{"app":"gzip"}`)
 	f.Add(`{"app":"twolf","chips":1000,"seed":18446744073709551615,"tquals_k":[250,500]}`)
+	f.Add(`{"app":"twolf","chips":1000,"tquals_k":[293.001,499.999]}`)
 	f.Add(`{}`)
 	f.Add(`{"app":"gzip","freq_hz":4.5e9,"window":32,"alus":2,"fpus":1}`)
 	f.Add(`not json at all`)

@@ -180,20 +180,19 @@ func (s *Server) normalizeEvaluate(req *EvaluateRequest) (trace.Profile, config.
 	if tqual == 0 {
 		tqual = 400
 	}
+	if err := s.env.Params.CheckTqual("tqual_k", tqual); err != nil {
+		return trace.Profile{}, config.Proc{}, core.Qualification{}, err
+	}
 	qual := s.env.Qualification(tqual)
 	if err := qual.Validate(); err != nil {
 		return trace.Profile{}, config.Proc{}, core.Qualification{}, err
-	}
-	if tqual < 250 || tqual > 500 {
-		return trace.Profile{}, config.Proc{}, core.Qualification{},
-			fmt.Errorf("tqual_k %g outside the plausible qualification range [250, 500]", tqual)
 	}
 	return app, proc, qual, nil
 }
 
 // handleEvaluate serves POST /v1/evaluate.
 func (s *Server) handleEvaluate(w http.ResponseWriter, r *http.Request) {
-	s.metrics.requestsEvaluate.Add(1)
+	s.metrics.requestsEvaluate.Inc()
 	var req EvaluateRequest
 	if err := decodeRequest(r, &req); err != nil {
 		s.writeError(w, http.StatusBadRequest, "%v", err)
@@ -212,7 +211,7 @@ func (s *Server) handleEvaluate(w http.ResponseWriter, r *http.Request) {
 	poolErr := s.pool.run(ctx, func() {
 		start := time.Now()
 		res, evalErr = s.env.EvaluateCtx(ctx, app, proc, qual)
-		s.metrics.latEvaluate.observe(time.Since(start))
+		observeSince(s.metrics.latEvaluate, start)
 	})
 	if err := s.jobError(poolErr, evalErr); err != nil {
 		s.writeJobError(w, err)
@@ -233,7 +232,7 @@ func (s *Server) handleEvaluate(w http.ResponseWriter, r *http.Request) {
 
 // handleSweep serves POST /v1/sweep.
 func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
-	s.metrics.requestsSweep.Add(1)
+	s.metrics.requestsSweep.Inc()
 	var req SweepRequest
 	if err := decodeRequest(r, &req); err != nil {
 		s.writeError(w, http.StatusBadRequest, "%v", err)
@@ -258,8 +257,8 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	for _, tq := range req.TqualsK {
-		if tq < 250 || tq > 500 {
-			s.writeError(w, http.StatusBadRequest, "tquals_k %g outside the plausible qualification range [250, 500]", tq)
+		if err := s.env.Params.CheckTqual("tquals_k", tq); err != nil {
+			s.writeError(w, http.StatusBadRequest, "%v", err)
 			return
 		}
 	}
@@ -281,7 +280,7 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	var sweepErr error
 	poolErr := s.pool.run(ctx, func() {
 		start := time.Now()
-		defer func() { s.metrics.latSweep.observe(time.Since(start)) }()
+		defer observeSince(s.metrics.latSweep, start)
 		var sweep *drm.Sweep
 		sweep, sweepErr = oracle.SweepCtx(ctx, app, adaptation)
 		if sweepErr != nil {
@@ -315,7 +314,7 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 
 // handleHealthz serves GET /v1/healthz.
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
-	s.metrics.requestsHealthz.Add(1)
+	s.metrics.requestsHealthz.Inc()
 	writeJSON(w, http.StatusOK, map[string]any{
 		"status":             "ok",
 		"uptime_sec":         time.Since(s.metrics.start).Seconds(),
@@ -352,7 +351,7 @@ func (s *Server) writeJobError(w http.ResponseWriter, err error) {
 		w.Header().Set("Retry-After", "1")
 		s.writeError(w, http.StatusTooManyRequests, "server saturated: %v", err)
 	case errors.Is(err, context.DeadlineExceeded):
-		s.metrics.timeouts.Add(1)
+		s.metrics.timeouts.Inc()
 		s.writeError(w, http.StatusGatewayTimeout, "evaluation exceeded the request deadline")
 	case errors.Is(err, context.Canceled):
 		// The client went away; 499 in nginx convention. The body almost

@@ -2,119 +2,115 @@ package serve
 
 import (
 	"net/http"
-	"strconv"
-	"sync/atomic"
+	"strings"
 	"time"
 
 	"ramp/internal/obs"
 )
 
-// histBuckets is the number of power-of-two latency buckets. Bucket i
-// counts observations with latency < 2^i microseconds; the last bucket
-// is a catch-all (2^21 µs ≈ 2.1 s and beyond land there), wide enough
-// for a full-length ArchDVS sweep.
-const histBuckets = 22
+// Server instrument names. Routes, response classes and latency
+// families share a prefix each (requests_<route>, responses_<class>,
+// latency_us_<route>); the JSON document and the Prometheus scrape
+// group them back into one labelled family per prefix, and the stream
+// publishes the names as they are.
+const (
+	requestsPrefix  = "requests_"
+	responsesPrefix = "responses_"
+	latencyPrefix   = "latency_us_"
 
-// histogram is a lock-free log2-scaled latency histogram (microsecond
-// resolution). Writers only atomically increment; readers snapshot.
-type histogram struct {
-	count  atomic.Int64
-	sumUS  atomic.Int64
-	bucket [histBuckets]atomic.Int64
-}
+	shedTotal    = "shed_total"
+	timeoutTotal = "timeout_total"
+	inflightJobs = "inflight_jobs"
+	queuedJobs   = "queued_jobs"
+)
 
-// observe records one latency sample.
-func (h *histogram) observe(d time.Duration) {
-	us := d.Microseconds()
-	if us < 0 {
-		us = 0
-	}
-	i := 0
-	for b := us; b > 0 && i < histBuckets-1; b >>= 1 {
-		i++
-	}
-	h.bucket[i].Add(1)
-	h.count.Add(1)
-	h.sumUS.Add(us)
-}
-
-// histSnapshot is the JSON form of one histogram: cumulative counts per
-// upper bound, expvar-style flat keys, plus interpolated quantile
-// estimates (obs.HistogramSnapshot.Quantile over the same buckets).
-type histSnapshot struct {
-	Count   int64            `json:"count"`
-	SumUS   int64            `json:"sum_us"`
-	P50US   float64          `json:"p50_us,omitempty"`
-	P95US   float64          `json:"p95_us,omitempty"`
-	P99US   float64          `json:"p99_us,omitempty"`
-	Buckets map[string]int64 `json:"buckets_le_us,omitempty"`
-}
-
-func (h *histogram) snapshot() histSnapshot {
-	s := histSnapshot{Count: h.count.Load(), SumUS: h.sumUS.Load()}
-	if s.Count == 0 {
-		return s
-	}
-	s.Buckets = make(map[string]int64)
-	var cum int64
-	for i := 0; i < histBuckets; i++ {
-		cum += h.bucket[i].Load()
-		if cum == 0 {
-			continue
-		}
-		le := "+inf"
-		if i < histBuckets-1 {
-			le = strconv.FormatInt(1<<i, 10)
-		}
-		s.Buckets[le] = cum
-	}
-	q := toObsHistogram(s)
-	s.P50US = q.Quantile(0.50)
-	s.P95US = q.Quantile(0.95)
-	s.P99US = q.Quantile(0.99)
-	return s
-}
-
-// metrics is the server's expvar-style counter set, published as one
-// JSON document at GET /metrics. All fields are atomics; there is no
-// global expvar registration, so independent Servers (tests) never
-// collide.
+// metrics is the server's instrument set. The instruments live in a
+// per-server obs.Registry — not the env's pipeline registry and not a
+// global — so independent Servers (tests) never collide, and the JSON
+// document, the Prometheus scrape and the stream all render that one
+// registry. Each instrument is resolved once here; handlers update it
+// through the pointer.
 type metrics struct {
+	reg   *obs.Registry
 	start time.Time
 
-	requestsEvaluate atomic.Int64
-	requestsSweep    atomic.Int64
-	requestsFleet    atomic.Int64
-	requestsHealthz  atomic.Int64
-	requestsMetrics  atomic.Int64
-	requestsStream   atomic.Int64
+	requestsEvaluate *obs.Counter
+	requestsSweep    *obs.Counter
+	requestsFleet    *obs.Counter
+	requestsHealthz  *obs.Counter
+	requestsMetrics  *obs.Counter
+	requestsStream   *obs.Counter
 
-	responses2xx atomic.Int64
-	responses4xx atomic.Int64
-	responses5xx atomic.Int64
-	shed         atomic.Int64 // queue-full 429s (subset of responses4xx)
-	timeouts     atomic.Int64 // deadline-exceeded 504s (subset of responses5xx)
+	responses2xx *obs.Counter
+	responses4xx *obs.Counter
+	responses5xx *obs.Counter
+	shed         *obs.Counter // queue-full 429s (subset of responses4xx)
+	timeouts     *obs.Counter // deadline-exceeded 504s (subset of responses5xx)
 
-	inflight atomic.Int64 // jobs currently holding a worker slot
-	queued   atomic.Int64 // jobs admitted but waiting for a slot
+	inflight *obs.Gauge // jobs currently holding a worker slot
+	queued   *obs.Gauge // jobs admitted but waiting for a slot
 
-	latQueueWait histogram // admission → worker slot acquired
-	latEvaluate  histogram // /v1/evaluate compute time
-	latSweep     histogram // /v1/sweep compute time (sweep + all selects)
-	latFleet     histogram // /v1/fleet compute time (evaluate + Monte Carlo)
+	latQueueWait *obs.Histogram // admission → worker slot acquired (µs)
+	latEvaluate  *obs.Histogram // /v1/evaluate compute time (µs)
+	latSweep     *obs.Histogram // /v1/sweep compute time, sweep + all selects (µs)
+	latFleet     *obs.Histogram // /v1/fleet compute time, evaluate + Monte Carlo (µs)
 }
 
-func newMetrics() *metrics { return &metrics{start: time.Now()} }
+func newMetrics() *metrics {
+	r := obs.NewRegistry()
+	return &metrics{
+		reg:   r,
+		start: time.Now(),
+
+		requestsEvaluate: r.Counter(requestsPrefix + "evaluate"),
+		requestsSweep:    r.Counter(requestsPrefix + "sweep"),
+		requestsFleet:    r.Counter(requestsPrefix + "fleet"),
+		requestsHealthz:  r.Counter(requestsPrefix + "healthz"),
+		requestsMetrics:  r.Counter(requestsPrefix + "metrics"),
+		requestsStream:   r.Counter(requestsPrefix + "stream"),
+
+		responses2xx: r.Counter(responsesPrefix + "2xx"),
+		responses4xx: r.Counter(responsesPrefix + "4xx"),
+		responses5xx: r.Counter(responsesPrefix + "5xx"),
+		shed:         r.Counter(shedTotal),
+		timeouts:     r.Counter(timeoutTotal),
+
+		inflight: r.Gauge(inflightJobs),
+		queued:   r.Gauge(queuedJobs),
+
+		latQueueWait: r.Histogram(latencyPrefix + "queue_wait"),
+		latEvaluate:  r.Histogram(latencyPrefix + "evaluate"),
+		latSweep:     r.Histogram(latencyPrefix + "sweep"),
+		latFleet:     r.Histogram(latencyPrefix + "fleet"),
+	}
+}
+
+// observeSince records the time elapsed since start, in microseconds.
+func observeSince(h *obs.Histogram, start time.Time) {
+	h.Observe(time.Since(start).Microseconds())
+}
 
 func (m *metrics) countResponse(status int) {
 	switch {
 	case status >= 500:
-		m.responses5xx.Add(1)
+		m.responses5xx.Inc()
 	case status >= 400:
-		m.responses4xx.Add(1)
+		m.responses4xx.Inc()
 	default:
-		m.responses2xx.Add(1)
+		m.responses2xx.Inc()
 	}
+}
+
+// byPrefix returns the entries of m whose names start with prefix,
+// keyed by the rest of the name.
+func byPrefix[V any](m map[string]V, prefix string) map[string]V {
+	out := make(map[string]V)
+	for name, v := range m {
+		if rest, ok := strings.CutPrefix(name, prefix); ok {
+			out[rest] = v
+		}
+	}
+	return out
 }
 
 // cacheCounters is the slice of exp.CacheStats surfaced in /metrics.
@@ -122,6 +118,19 @@ type cacheCounters struct {
 	Hits    int64 `json:"hits"`
 	Misses  int64 `json:"misses"`
 	Entries int   `json:"entries"`
+}
+
+// latencySnapshot is the JSON form of one latency histogram: the obs
+// snapshot's cumulative counts per power-of-two upper bound (ending at
+// the first bound that holds every observation), plus interpolated
+// quantile estimates.
+type latencySnapshot struct {
+	Count   int64            `json:"count"`
+	SumUS   int64            `json:"sum_us"`
+	P50US   float64          `json:"p50_us,omitempty"`
+	P95US   float64          `json:"p95_us,omitempty"`
+	P99US   float64          `json:"p99_us,omitempty"`
+	Buckets map[string]int64 `json:"buckets_le_us,omitempty"`
 }
 
 // metricsSnapshot is the /metrics JSON document. Names are stable API:
@@ -139,7 +148,7 @@ type metricsSnapshot struct {
 
 	Cache cacheCounters `json:"cache"`
 
-	LatencyUS map[string]histSnapshot `json:"latency_us"`
+	LatencyUS map[string]latencySnapshot `json:"latency_us"`
 
 	// Pipeline mirrors the env's obs registry when the server was built
 	// over an instrumented environment; omitted otherwise, so the JSON
@@ -148,49 +157,39 @@ type metricsSnapshot struct {
 }
 
 func (s *Server) snapshotMetrics() metricsSnapshot {
-	m := s.metrics
+	snap := s.metrics.reg.Snapshot()
 	cs := s.env.CacheStats()
-	var pipeline *obs.Snapshot
+	out := metricsSnapshot{
+		UptimeSec:     time.Since(s.metrics.start).Seconds(),
+		RequestsTotal: byPrefix(snap.Counters, requestsPrefix),
+		Responses:     byPrefix(snap.Counters, responsesPrefix),
+		ShedTotal:     snap.Counters[shedTotal],
+		TimeoutTotal:  snap.Counters[timeoutTotal],
+		InflightJobs:  snap.Gauges[inflightJobs],
+		QueuedJobs:    snap.Gauges[queuedJobs],
+		Cache:         cacheCounters{Hits: cs.Hits, Misses: cs.Misses, Entries: cs.Entries},
+		LatencyUS:     make(map[string]latencySnapshot),
+	}
+	for route, h := range byPrefix(snap.Histograms, latencyPrefix) {
+		l := latencySnapshot{Count: h.Count, SumUS: h.Sum, Buckets: h.Buckets}
+		if h.Count > 0 {
+			l.P50US, l.P95US, l.P99US = h.Quantile(0.50), h.Quantile(0.95), h.Quantile(0.99)
+		}
+		out.LatencyUS[route] = l
+	}
 	if s.env.Metrics != nil {
-		snap := s.env.Metrics.Snapshot()
-		pipeline = &snap
+		pipeline := s.env.Metrics.Snapshot()
+		out.Pipeline = &pipeline
 	}
-	return metricsSnapshot{
-		Pipeline:  pipeline,
-		UptimeSec: time.Since(m.start).Seconds(),
-		RequestsTotal: map[string]int64{
-			"evaluate": m.requestsEvaluate.Load(),
-			"sweep":    m.requestsSweep.Load(),
-			"fleet":    m.requestsFleet.Load(),
-			"healthz":  m.requestsHealthz.Load(),
-			"metrics":  m.requestsMetrics.Load(),
-			"stream":   m.requestsStream.Load(),
-		},
-		Responses: map[string]int64{
-			"2xx": m.responses2xx.Load(),
-			"4xx": m.responses4xx.Load(),
-			"5xx": m.responses5xx.Load(),
-		},
-		ShedTotal:    m.shed.Load(),
-		TimeoutTotal: m.timeouts.Load(),
-		InflightJobs: m.inflight.Load(),
-		QueuedJobs:   m.queued.Load(),
-		Cache:        cacheCounters{Hits: cs.Hits, Misses: cs.Misses, Entries: cs.Entries},
-		LatencyUS: map[string]histSnapshot{
-			"queue_wait": m.latQueueWait.snapshot(),
-			"evaluate":   m.latEvaluate.snapshot(),
-			"sweep":      m.latSweep.snapshot(),
-			"fleet":      m.latFleet.snapshot(),
-		},
-	}
+	return out
 }
 
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	s.metrics.requestsMetrics.Add(1)
+	s.metrics.requestsMetrics.Inc()
 	if wantsPrometheus(r) {
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 		w.WriteHeader(http.StatusOK)
-		s.writePrometheus(w, s.snapshotMetrics())
+		s.writePrometheus(w)
 		s.metrics.countResponse(http.StatusOK)
 		return
 	}

@@ -54,7 +54,7 @@ func (p *pool) run(ctx context.Context, fn func()) error {
 	select {
 	case p.admit <- struct{}{}:
 	default:
-		p.metrics.shed.Add(1)
+		p.metrics.shed.Inc()
 		return ErrQueueFull
 	}
 	defer func() { <-p.admit }()
@@ -68,7 +68,7 @@ func (p *pool) run(ctx context.Context, fn func()) error {
 		return ctx.Err()
 	}
 	p.metrics.queued.Add(-1)
-	p.metrics.latQueueWait.observe(time.Since(waitStart))
+	observeSince(p.metrics.latQueueWait, waitStart)
 
 	p.metrics.inflight.Add(1)
 	defer func() {

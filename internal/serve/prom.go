@@ -14,6 +14,7 @@ import (
 	"net/http"
 	"sort"
 	"strings"
+	"time"
 
 	"ramp/internal/obs"
 )
@@ -25,23 +26,6 @@ func wantsPrometheus(r *http.Request) bool {
 		return true
 	}
 	return strings.Contains(r.Header.Get("Accept"), "text/plain")
-}
-
-// promHist adapts the server's lock-free histogram snapshot to the obs
-// rendering helper. The JSON form uses a lowercase "+inf" catch-all key;
-// the Prometheus renderer derives the +Inf bucket from Count, so the
-// catch-all is dropped rather than translated.
-func promHist(h histSnapshot) obs.HistogramSnapshot {
-	s := obs.HistogramSnapshot{Count: h.Count, Sum: h.SumUS}
-	if len(h.Buckets) > 0 {
-		s.Buckets = make(map[string]int64, len(h.Buckets))
-		for le, v := range h.Buckets {
-			if le != "+inf" {
-				s.Buckets[le] = v
-			}
-		}
-	}
-	return s
 }
 
 func promSortedKeys[V any](m map[string]V) []string {
@@ -62,21 +46,29 @@ func writePromLabeledCounters(w io.Writer, family, label string, vals map[string
 	}
 }
 
-// writePrometheus renders one scrape of the server's metrics.
-func (s *Server) writePrometheus(w io.Writer, snap metricsSnapshot) {
-	fmt.Fprintf(w, "# TYPE rampserve_uptime_seconds gauge\nrampserve_uptime_seconds %g\n", snap.UptimeSec)
-	writePromLabeledCounters(w, "rampserve_requests_total", "route", snap.RequestsTotal)
-	writePromLabeledCounters(w, "rampserve_responses_total", "class", snap.Responses)
-	fmt.Fprintf(w, "# TYPE rampserve_shed_total counter\nrampserve_shed_total %d\n", snap.ShedTotal)
-	fmt.Fprintf(w, "# TYPE rampserve_timeout_total counter\nrampserve_timeout_total %d\n", snap.TimeoutTotal)
-	fmt.Fprintf(w, "# TYPE rampserve_inflight_jobs gauge\nrampserve_inflight_jobs %d\n", snap.InflightJobs)
-	fmt.Fprintf(w, "# TYPE rampserve_queued_jobs gauge\nrampserve_queued_jobs %d\n", snap.QueuedJobs)
-	fmt.Fprintf(w, "# TYPE rampserve_cache_hits_total counter\nrampserve_cache_hits_total %d\n", snap.Cache.Hits)
-	fmt.Fprintf(w, "# TYPE rampserve_cache_misses_total counter\nrampserve_cache_misses_total %d\n", snap.Cache.Misses)
-	fmt.Fprintf(w, "# TYPE rampserve_cache_entries gauge\nrampserve_cache_entries %d\n", snap.Cache.Entries)
+// writePrometheus renders one scrape: the server registry's snapshot
+// as rampserve_* families (each name prefix one labelled family, as in
+// the JSON document), the exp cache counters, then the pipeline
+// registry under ramp_.
+func (s *Server) writePrometheus(w io.Writer) {
+	snap := s.metrics.reg.Snapshot()
+	cs := s.env.CacheStats()
+	fmt.Fprintf(w, "# TYPE rampserve_uptime_seconds gauge\nrampserve_uptime_seconds %g\n", time.Since(s.metrics.start).Seconds())
+	writePromLabeledCounters(w, "rampserve_requests_total", "route", byPrefix(snap.Counters, requestsPrefix))
+	writePromLabeledCounters(w, "rampserve_responses_total", "class", byPrefix(snap.Counters, responsesPrefix))
+	for _, name := range []string{shedTotal, timeoutTotal} {
+		fmt.Fprintf(w, "# TYPE rampserve_%s counter\nrampserve_%s %d\n", name, name, snap.Counters[name])
+	}
+	for _, name := range []string{inflightJobs, queuedJobs} {
+		fmt.Fprintf(w, "# TYPE rampserve_%s gauge\nrampserve_%s %d\n", name, name, snap.Gauges[name])
+	}
+	fmt.Fprintf(w, "# TYPE rampserve_cache_hits_total counter\nrampserve_cache_hits_total %d\n", cs.Hits)
+	fmt.Fprintf(w, "# TYPE rampserve_cache_misses_total counter\nrampserve_cache_misses_total %d\n", cs.Misses)
+	fmt.Fprintf(w, "# TYPE rampserve_cache_entries gauge\nrampserve_cache_entries %d\n", cs.Entries)
 	fmt.Fprintf(w, "# TYPE rampserve_latency_us histogram\n")
-	for _, route := range promSortedKeys(snap.LatencyUS) {
-		obs.WritePromHistogram(w, "rampserve_latency_us", fmt.Sprintf("route=%q", route), promHist(snap.LatencyUS[route]))
+	latency := byPrefix(snap.Histograms, latencyPrefix)
+	for _, route := range promSortedKeys(latency) {
+		obs.WritePromHistogram(w, "rampserve_latency_us", fmt.Sprintf("route=%q", route), latency[route])
 	}
 	if s.env.Metrics != nil {
 		s.env.Metrics.WritePrometheus(w, "ramp_")

@@ -72,7 +72,7 @@ func TestFleetCancellationMidSimulation(t *testing.T) {
 
 	// Wait for the job to hold a worker slot, then pull the plug.
 	deadline := time.Now().Add(10 * time.Second)
-	for s.metrics.inflight.Load() == 0 {
+	for s.metrics.inflight.Value() == 0 {
 		if time.Now().After(deadline) {
 			t.Fatal("fleet job never became in-flight")
 		}
@@ -98,12 +98,12 @@ func TestFleetCancellationMidSimulation(t *testing.T) {
 	http.DefaultClient.CloseIdleConnections()
 	deadline = time.Now().Add(30 * time.Second)
 	for {
-		if s.metrics.inflight.Load() == 0 && runtime.NumGoroutine() <= baseline+2 {
+		if s.metrics.inflight.Value() == 0 && runtime.NumGoroutine() <= baseline+2 {
 			break
 		}
 		if time.Now().After(deadline) {
 			t.Fatalf("fleet job did not drain: inflight %d, goroutines %d vs %d baseline",
-				s.metrics.inflight.Load(), runtime.NumGoroutine(), baseline)
+				s.metrics.inflight.Value(), runtime.NumGoroutine(), baseline)
 		}
 		time.Sleep(10 * time.Millisecond)
 	}

@@ -158,7 +158,7 @@ func TestGracefulShutdownWithInflight(t *testing.T) {
 
 	// Wait until the request is actually in flight, then pull the plug.
 	deadline := time.Now().Add(10 * time.Second)
-	for s.metrics.inflight.Load() == 0 {
+	for s.metrics.inflight.Value() == 0 {
 		if time.Now().After(deadline) {
 			t.Fatal("sweep never became in-flight")
 		}

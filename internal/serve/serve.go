@@ -13,8 +13,17 @@
 //	POST /v1/sweep     a DRM adaptation-space sweep with per-T_qual selection
 //	POST /v1/fleet     a fleet-scale Monte Carlo lifetime simulation
 //	GET  /v1/healthz   liveness + cache occupancy
-//	GET  /metrics      expvar-style counters and latency histograms (JSON)
+//	GET  /metrics      counters, gauges and latency histograms: a JSON
+//	                   document by default, Prometheus text (0.0.4) with
+//	                   ?format=prom or an Accept header naming text/plain
+//	GET  /v1/metrics/stream
+//	                   windowed metric deltas, Server-Sent Events by
+//	                   default or NDJSON with ?format=ndjson
 //	GET  /debug/pprof  live pprof (internal/profiling.RegisterHTTP)
+//
+// Every surface renders one per-server obs.Registry (merged with the
+// env's pipeline registry when the env is instrumented), so a counter
+// reads the same in the JSON document, the scrape and the stream.
 //
 // Concurrency model: requests are validated on the handler goroutine,
 // then admitted to a bounded pool (workers + queue depth); admission

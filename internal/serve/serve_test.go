@@ -185,6 +185,36 @@ func TestUnitCountCeiling(t *testing.T) {
 	}
 }
 
+func TestTqualOutsideModelDomain(t *testing.T) {
+	// The model assesses 293 K < T_qual < 500 K only. Every route rejects
+	// a temperature outside that domain with a 400 naming the field and
+	// the range, before any simulation — so a bad T_qual never reaches the
+	// exp cache, whose key omits T_qual.
+	s, hs := newTestServer(t)
+	for _, tq := range []string{"250", "280", "293", "500", "510"} {
+		for _, tc := range []struct{ route, body, field string }{
+			{"/v1/evaluate", `{"app":"twolf","tqual_k":` + tq + `}`, "tqual_k"},
+			{"/v1/sweep", `{"app":"twolf","adaptation":"DVS","tquals_k":[400,` + tq + `]}`, "tquals_k"},
+			{"/v1/fleet", `{"app":"twolf","tquals_k":[` + tq + `]}`, "tquals_k"},
+			{"/v1/fleet", `{"app":"twolf","tquals_k":[400,` + tq + `]}`, "tquals_k"},
+		} {
+			want := tc.field + " " + tq + " outside the qualification domain (293, 500) K"
+			status, body := post(t, hs.URL+tc.route, tc.body)
+			if status != http.StatusBadRequest || !strings.Contains(body, want) {
+				t.Errorf("%s %s: status %d body %s, want 400 naming %q", tc.route, tc.body, status, body, want)
+			}
+		}
+	}
+	if st := s.Env().CacheStats(); st.Misses != 0 {
+		t.Errorf("rejected requests ran %d simulations, want 0", st.Misses)
+	}
+	for _, tq := range []string{"295", "300", "499"} {
+		if status, body := post(t, hs.URL+"/v1/evaluate", `{"app":"twolf","tqual_k":`+tq+`}`); status != http.StatusOK {
+			t.Errorf("tqual_k %s after rejected ones: status %d body %s", tq, status, body)
+		}
+	}
+}
+
 func TestSweepValidation(t *testing.T) {
 	_, hs := newTestServer(t)
 	cases := []struct {
@@ -267,6 +297,67 @@ func TestHealthzAndMetrics(t *testing.T) {
 	}
 }
 
+// TestMetricsJSONContract pins the /metrics keys that readers outside
+// this module decode: perfbench's Metrics and rampload's serverMetrics.
+// Renaming or reshaping one breaks them silently (a missing key decodes
+// as zero), so the test asserts the paths, not the values.
+func TestMetricsJSONContract(t *testing.T) {
+	_, hs := newTestServer(t)
+	for _, req := range []struct{ path, body string }{
+		{"/v1/evaluate", `{"app":"twolf"}`},
+		{"/v1/sweep", `{"app":"twolf","adaptation":"DVS","tquals_k":[400]}`},
+		{"/v1/fleet", `{"app":"twolf","chips":1000}`},
+	} {
+		if status, body := post(t, hs.URL+req.path, req.body); status != http.StatusOK {
+			t.Fatalf("POST %s: status %d, body %s", req.path, status, body)
+		}
+	}
+	for _, path := range []string{"/v1/healthz", "/v1/metrics/stream?window=50ms&n=1&format=ndjson"} {
+		if status, body := get(t, hs.URL+path); status != http.StatusOK {
+			t.Fatalf("GET %s: status %d, body %s", path, status, body)
+		}
+	}
+	status, body := get(t, hs.URL+"/metrics")
+	if status != http.StatusOK {
+		t.Fatalf("metrics: status %d", status)
+	}
+	var doc map[string]any
+	if err := json.Unmarshal([]byte(body), &doc); err != nil {
+		t.Fatalf("metrics decode: %v (%s)", err, body)
+	}
+	lookup := func(path ...string) any {
+		var v any = doc
+		for _, k := range path {
+			m, ok := v.(map[string]any)
+			if !ok {
+				return nil
+			}
+			v = m[k]
+		}
+		return v
+	}
+	want := [][]string{
+		{"responses_total"}, {"shed_total"},
+		{"cache", "hits"}, {"cache", "misses"}, {"cache", "entries"},
+		{"requests_total"}, {"timeout_total"},
+	}
+	for _, route := range []string{"queue_wait", "evaluate", "sweep", "fleet"} {
+		want = append(want,
+			[]string{"latency_us", route, "count"},
+			[]string{"latency_us", route, "buckets_le_us"})
+	}
+	for _, path := range want {
+		if lookup(path...) == nil {
+			t.Errorf("/metrics JSON lacks %s", strings.Join(path, "."))
+		}
+	}
+	for _, route := range []string{"evaluate", "sweep", "fleet", "healthz", "metrics", "stream"} {
+		if n, _ := lookup("requests_total", route).(float64); n != 1 {
+			t.Errorf("requests_total.%s = %v, want 1", route, lookup("requests_total", route))
+		}
+	}
+}
+
 func TestQueueFullSheds429(t *testing.T) {
 	cfg := tinyConfig()
 	cfg.Workers = 1
@@ -288,7 +379,7 @@ func TestQueueFullSheds429(t *testing.T) {
 	if status, body := post(t, hs.URL+"/v1/evaluate", `{"app":"twolf"}`); status != http.StatusOK {
 		t.Fatalf("after release: status %d, body %s", status, body)
 	}
-	if shed := s.metrics.shed.Load(); shed != 1 {
+	if shed := s.metrics.shed.Value(); shed != 1 {
 		t.Errorf("shed_total = %d (want 1)", shed)
 	}
 }
@@ -304,8 +395,8 @@ func TestRequestTimeoutReturns504(t *testing.T) {
 	if status != http.StatusGatewayTimeout {
 		t.Fatalf("status = %d (want 504), body %s", status, body)
 	}
-	if s.metrics.timeouts.Load() != 1 {
-		t.Errorf("timeout_total = %d (want 1)", s.metrics.timeouts.Load())
+	if s.metrics.timeouts.Value() != 1 {
+		t.Errorf("timeout_total = %d (want 1)", s.metrics.timeouts.Value())
 	}
 	// The abandoned flight must not poison the cache: with a sane
 	// deadline the same request now succeeds.

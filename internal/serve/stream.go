@@ -1,9 +1,9 @@
 // GET /v1/metrics/stream — live windowed telemetry. Each subscriber
 // gets its own clock: every window the handler snapshots the server's
-// metrics (unified into an obs.Snapshot with the pipeline registry),
-// subtracts the previous snapshot, and pushes one frame carrying the
-// delta. Frames are Server-Sent Events by default (curl-friendly,
-// EventSource-compatible) or bare NDJSON with ?format=ndjson.
+// registry (merged with the pipeline registry), subtracts the previous
+// snapshot, and pushes one frame carrying the delta. Frames are
+// Server-Sent Events by default (curl-friendly, EventSource-compatible)
+// or bare NDJSON with ?format=ndjson.
 //
 // The stream honors graceful shutdown: Serve closes the draining
 // channel before http.Server.Shutdown, so every subscriber loop returns
@@ -14,6 +14,7 @@ package serve
 import (
 	"encoding/json"
 	"fmt"
+	"maps"
 	"net/http"
 	"strconv"
 	"time"
@@ -40,66 +41,16 @@ type streamFrame struct {
 	Delta     obs.Snapshot `json:"delta"`
 }
 
-// obsSnapshot unifies the server's hand-rolled counters and the
-// pipeline registry into one obs.Snapshot, so windowed deltas, quantile
-// estimation and SLO math all run on the same Snapshot algebra the rest
-// of the codebase uses.
+// obsSnapshot is the server registry's snapshot merged with the
+// pipeline registry's, so windowed deltas, quantile estimation and SLO
+// math all run on the same Snapshot algebra the rest of the codebase
+// uses.
 func (s *Server) obsSnapshot() obs.Snapshot {
-	m := s.metrics
-	out := obs.Snapshot{
-		Counters: map[string]int64{
-			"requests_evaluate": m.requestsEvaluate.Load(),
-			"requests_sweep":    m.requestsSweep.Load(),
-			"requests_fleet":    m.requestsFleet.Load(),
-			"requests_healthz":  m.requestsHealthz.Load(),
-			"requests_metrics":  m.requestsMetrics.Load(),
-			"requests_stream":   m.requestsStream.Load(),
-			"responses_2xx":     m.responses2xx.Load(),
-			"responses_4xx":     m.responses4xx.Load(),
-			"responses_5xx":     m.responses5xx.Load(),
-			"shed_total":        m.shed.Load(),
-			"timeout_total":     m.timeouts.Load(),
-		},
-		Gauges: map[string]int64{
-			"inflight_jobs": m.inflight.Load(),
-			"queued_jobs":   m.queued.Load(),
-		},
-		Histograms: map[string]obs.HistogramSnapshot{
-			"latency_us_queue_wait": toObsHistogram(m.latQueueWait.snapshot()),
-			"latency_us_evaluate":   toObsHistogram(m.latEvaluate.snapshot()),
-			"latency_us_sweep":      toObsHistogram(m.latSweep.snapshot()),
-			"latency_us_fleet":      toObsHistogram(m.latFleet.snapshot()),
-		},
-	}
-	if s.env.Metrics != nil {
-		pipe := s.env.Metrics.Snapshot()
-		for name, v := range pipe.Counters {
-			out.Counters[name] = v
-		}
-		for name, v := range pipe.Gauges {
-			out.Gauges[name] = v
-		}
-		for name, h := range pipe.Histograms {
-			out.Histograms[name] = h
-		}
-	}
-	return out
-}
-
-// toObsHistogram converts the server's JSON histogram form into the obs
-// snapshot form (same cumulative le-keyed shape; only the catch-all key
-// spelling differs).
-func toObsHistogram(h histSnapshot) obs.HistogramSnapshot {
-	out := obs.HistogramSnapshot{Count: h.Count, Sum: h.SumUS}
-	if len(h.Buckets) > 0 {
-		out.Buckets = make(map[string]int64, len(h.Buckets))
-		for le, c := range h.Buckets {
-			if le == "+inf" {
-				le = "+Inf"
-			}
-			out.Buckets[le] = c
-		}
-	}
+	out := s.metrics.reg.Snapshot()
+	pipe := s.env.Metrics.Snapshot()
+	maps.Copy(out.Counters, pipe.Counters)
+	maps.Copy(out.Gauges, pipe.Gauges)
+	maps.Copy(out.Histograms, pipe.Histograms)
 	return out
 }
 
@@ -136,7 +87,7 @@ func parseStreamParams(r *http.Request) (window time.Duration, limit int64, sse 
 }
 
 func (s *Server) handleMetricsStream(w http.ResponseWriter, r *http.Request) {
-	s.metrics.requestsStream.Add(1)
+	s.metrics.requestsStream.Inc()
 	window, limit, sse, err := parseStreamParams(r)
 	if err != nil {
 		s.writeError(w, http.StatusBadRequest, "%v", err)

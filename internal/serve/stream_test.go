@@ -218,7 +218,7 @@ func TestMetricsStreamConcurrentSubscribers(t *testing.T) {
 			t.Errorf("subscriber %d got %d frames, want 3", i, n)
 		}
 	}
-	if got := s.metrics.requestsStream.Load(); got != hammerGoroutines {
+	if got := s.metrics.requestsStream.Value(); got != hammerGoroutines {
 		t.Errorf("requests_total[stream] = %d, want %d", got, hammerGoroutines)
 	}
 

@@ -38,6 +38,17 @@ func (s *scriptSource) Next(out *trace.Instr) {
 }
 
 // mustNew is New for tests, panicking on config errors.
+// mustNewGenerator is trace.NewGenerator, failing the test on an
+// invalid profile.
+func mustNewGenerator(t testing.TB, p trace.Profile, seed int64) *trace.Generator {
+	t.Helper()
+	g, err := trace.NewGenerator(p, seed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return g
+}
+
 func mustNew(cfg config.Proc, gen Source) *Core {
 	c, err := New(cfg, gen)
 	if err != nil {
@@ -204,7 +215,7 @@ func TestMispredictionCostsThroughput(t *testing.T) {
 }
 
 func TestActivitiesInRange(t *testing.T) {
-	g := trace.MustNewGenerator(trace.Bzip2(), 1)
+	g := mustNewGenerator(t, trace.Bzip2(), 1)
 	c := mustNew(config.Base(), g)
 	r := c.Run(50_000)
 	for s := floorplan.Structure(0); s < floorplan.NumStructures; s++ {
@@ -231,7 +242,7 @@ func TestIntOnlyWorkloadHasNoFPActivity(t *testing.T) {
 
 func TestDeterminism(t *testing.T) {
 	mk := func() Result {
-		g := trace.MustNewGenerator(trace.Gzip(), 42)
+		g := mustNewGenerator(t, trace.Gzip(), 42)
 		c := mustNew(config.Base(), g)
 		c.Run(20_000)
 		return c.Run(50_000)
@@ -243,7 +254,7 @@ func TestDeterminism(t *testing.T) {
 }
 
 func TestRunAccumulates(t *testing.T) {
-	g := trace.MustNewGenerator(trace.Twolf(), 1)
+	g := mustNewGenerator(t, trace.Twolf(), 1)
 	c := mustNew(config.Base(), g)
 	r1 := c.Run(10_000)
 	r2 := c.Run(10_000)
@@ -263,7 +274,7 @@ func TestRunAccumulates(t *testing.T) {
 }
 
 func TestWindowOccupancyBounded(t *testing.T) {
-	g := trace.MustNewGenerator(trace.Art(), 1)
+	g := mustNewGenerator(t, trace.Art(), 1)
 	cfg := config.Base()
 	c := mustNew(cfg, g)
 	r := c.Run(30_000)
@@ -277,7 +288,7 @@ func TestWindowOccupancyBounded(t *testing.T) {
 
 func TestSmallerWindowNeverFaster(t *testing.T) {
 	ipc := func(w int) float64 {
-		g := trace.MustNewGenerator(trace.MPGdec(), 1)
+		g := mustNewGenerator(t, trace.MPGdec(), 1)
 		cfg := config.Base()
 		cfg.WindowSize = w
 		c := mustNew(cfg, g)
@@ -297,7 +308,7 @@ func TestFrequencyScalingHurtsIPC(t *testing.T) {
 	// Memory latency is wall-clock, so higher clocks see more cycles of
 	// memory latency and IPC must drop for a memory-bound app.
 	ipc := func(f float64) float64 {
-		g := trace.MustNewGenerator(trace.Art(), 1)
+		g := mustNewGenerator(t, trace.Art(), 1)
 		c := mustNew(config.Base().WithOperatingPoint(f), g)
 		c.Run(50_000)
 		return c.Run(100_000).IPC
@@ -309,7 +320,7 @@ func TestFrequencyScalingHurtsIPC(t *testing.T) {
 }
 
 func TestTimeSecUsesFrequency(t *testing.T) {
-	g := trace.MustNewGenerator(trace.Gzip(), 1)
+	g := mustNewGenerator(t, trace.Gzip(), 1)
 	c := mustNew(config.Base().WithOperatingPoint(2.5e9), g)
 	r := c.Run(10_000)
 	want := float64(r.Cycles) / 2.5e9
@@ -346,7 +357,7 @@ func TestICacheFootprintMatters(t *testing.T) {
 				PredictableFrac: 0.95, CallFrac: 0.05,
 			}},
 		}
-		g := trace.MustNewGenerator(p, 1)
+		g := mustNewGenerator(t, p, 1)
 		c := mustNew(config.Base(), g)
 		c.Run(50_000)
 		return c.Run(100_000).IPC

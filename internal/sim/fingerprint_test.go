@@ -66,7 +66,7 @@ func hashResult(h hash.Hash64, r Result) {
 // and switches the clock to the other DVS corner between the second and
 // third, so the hash also covers state carried across epochs and across
 // an operating-point change.
-func fingerprintCases() []string {
+func fingerprintCases(t *testing.T) []string {
 	freqs := [...]float64{config.MinFreqHz, config.MaxFreqHz}
 	var lines []string
 	for _, app := range trace.Apps() {
@@ -74,7 +74,7 @@ func fingerprintCases() []string {
 			for _, alus := range [...]int{2, 6} {
 				for _, fpus := range [...]int{1, 4} {
 					for fi, f := range freqs {
-						c := mustNew(fingerprintProc(w, alus, fpus, f), trace.MustNewGenerator(app, 5))
+						c := mustNew(fingerprintProc(w, alus, fpus, f), mustNewGenerator(t, app, 5))
 						h := fnv.New64a()
 						hashResult(h, c.Run(3_000))
 						hashResult(h, c.Run(5_000))
@@ -99,7 +99,7 @@ func fingerprintCases() []string {
 //
 //	go test ./internal/sim -run TestFingerprint -update
 func TestFingerprint(t *testing.T) {
-	got := fingerprintCases()
+	got := fingerprintCases(t)
 	if *updateFingerprint {
 		if err := os.WriteFile(fingerprintPath, []byte(strings.Join(got, "\n")+"\n"), 0o644); err != nil {
 			t.Fatal(err)

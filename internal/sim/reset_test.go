@@ -15,14 +15,14 @@ func TestResetBitIdenticalAcrossProfiles(t *testing.T) {
 	reused := mustNew(config.Base(), newScript([]trace.Instr{{Op: trace.IntAlu}}))
 	reused.Run(5_000) // dirty every structure before the first Reset
 	for _, app := range trace.Apps() {
-		fresh := mustNew(config.Base(), trace.MustNewGenerator(app, 7))
+		fresh := mustNew(config.Base(), mustNewGenerator(t, app, 7))
 		fresh.Run(20_000)
 		var want [3]Result
 		for i := range want {
 			want[i] = fresh.Run(30_000)
 		}
 
-		if err := reused.Reset(config.Base(), trace.MustNewGenerator(app, 7)); err != nil {
+		if err := reused.Reset(config.Base(), mustNewGenerator(t, app, 7)); err != nil {
 			t.Fatalf("%s: Reset: %v", app.Name, err)
 		}
 		reused.Run(20_000)
@@ -41,14 +41,14 @@ func TestResetBitIdenticalAcrossProfiles(t *testing.T) {
 // against a fresh core, covering the buffer-resize paths of Reset.
 func TestResetBitIdenticalAcrossConfigs(t *testing.T) {
 	app := trace.Gzip()
-	reused := mustNew(config.Base(), trace.MustNewGenerator(app, 3))
+	reused := mustNew(config.Base(), mustNewGenerator(t, app, 3))
 	reused.Run(5_000)
 	for _, proc := range config.ArchConfigs() {
-		fresh := mustNew(proc, trace.MustNewGenerator(app, 3))
+		fresh := mustNew(proc, mustNewGenerator(t, app, 3))
 		fresh.Run(10_000)
 		want := fresh.Run(20_000)
 
-		if err := reused.Reset(proc, trace.MustNewGenerator(app, 3)); err != nil {
+		if err := reused.Reset(proc, mustNewGenerator(t, app, 3)); err != nil {
 			t.Fatalf("%s: Reset: %v", proc.Name, err)
 		}
 		reused.Run(10_000)
@@ -74,7 +74,7 @@ func TestResetRejectsInvalidConfig(t *testing.T) {
 // simulation loop: once warmed, Run must not allocate at all. This holds
 // the line on the fetch-path escape the ring-buffer fetch queue removed.
 func TestCoreRunSteadyStateZeroAlloc(t *testing.T) {
-	g := trace.MustNewGenerator(trace.Gzip(), 1)
+	g := mustNewGenerator(t, trace.Gzip(), 1)
 	c := mustNew(config.Base(), g)
 	c.Run(50_000) // warm caches, predictor, MSHR backing arrays
 	if allocs := testing.AllocsPerRun(5, func() { c.Run(10_000) }); allocs != 0 {
@@ -85,7 +85,7 @@ func TestCoreRunSteadyStateZeroAlloc(t *testing.T) {
 // TestCoreResetZeroAlloc is the allocation budget for core reuse: a
 // same-shape Reset must reuse every buffer.
 func TestCoreResetZeroAlloc(t *testing.T) {
-	g := trace.MustNewGenerator(trace.Gzip(), 1)
+	g := mustNewGenerator(t, trace.Gzip(), 1)
 	c := mustNew(config.Base(), g)
 	c.Run(10_000)
 	if allocs := testing.AllocsPerRun(10, func() {

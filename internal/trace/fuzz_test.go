@@ -129,7 +129,11 @@ func FuzzTraceGenerator(f *testing.F) {
 		// The stream must drive the timing simulator to a sane result: IPC
 		// finite, positive and bounded by the fetch width.
 		proc := config.Base()
-		core, err := sim.New(proc, trace.MustNewGenerator(prof, seed))
+		replay, err := trace.NewGenerator(prof, seed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		core, err := sim.New(proc, replay)
 		if err != nil {
 			t.Fatalf("sim.New: %v", err)
 		}

@@ -284,16 +284,6 @@ func (g *Generator) Reset(p Profile, seed int64) error {
 	return nil
 }
 
-// MustNewGenerator is NewGenerator, panicking on invalid profiles. It is
-// intended for the built-in profiles, which are validated by tests.
-func MustNewGenerator(p Profile, seed int64) *Generator {
-	g, err := NewGenerator(p, seed)
-	if err != nil {
-		panic(err)
-	}
-	return g
-}
-
 // Profile returns the generator's profile.
 func (g *Generator) Profile() Profile { return g.prof }
 

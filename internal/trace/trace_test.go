@@ -6,6 +6,17 @@ import (
 )
 
 // testProfile is a small single-phase profile for focused tests.
+// mustNewGenerator is NewGenerator, failing the test on an invalid
+// profile.
+func mustNewGenerator(t testing.TB, p Profile, seed int64) *Generator {
+	t.Helper()
+	g, err := NewGenerator(p, seed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return g
+}
+
 func testProfile() Profile {
 	return Profile{
 		Name: "test", Class: "test", PhaseLen: 10_000,
@@ -175,7 +186,7 @@ func TestPhaseCycling(t *testing.T) {
 	p.Phases = append(p.Phases, p.Phases[0])
 	p.Phases[1].Name = "q"
 	p.PhaseLen = 1000
-	g := MustNewGenerator(p, 1)
+	g := mustNewGenerator(t, p, 1)
 	basesSeen := map[uint64]bool{}
 	var in Instr
 	for i := 0; i < 5000; i++ {
@@ -298,7 +309,7 @@ func TestStridedStreamWraps(t *testing.T) {
 	p := testProfile()
 	p.Phases[0].Mix = Mix{Load: 0.9, IntAlu: 0.1}
 	p.Phases[0].Streams = []Stream{{Kind: Strided, WorkingSet: 1024, StrideBytes: 8, Weight: 1}}
-	g := MustNewGenerator(p, 1)
+	g := mustNewGenerator(t, p, 1)
 	seen := map[uint64]bool{}
 	var in Instr
 	for i := 0; i < 5000; i++ {

@@ -4,11 +4,13 @@ package ramp_test
 // the pipeline must actually render on every human- and
 // machine-readable surface — the -stats summary (obs.WriteSummary), the
 // Prometheus exposition (obs.WritePrometheus and rampserve's
-// /metrics?format=prom scrape), and the JSON snapshot. An instrument
-// that exists but never renders is a silent observability hole: the
-// code pays the bookkeeping cost and a dashboard can never see it. The
-// audit is registry-driven, so an instrument added next month is
-// covered the day it is registered, with no test edit.
+// /metrics?format=prom scrape), and the JSON snapshot — and every
+// instrument in rampserve's own registry on the stream, the scrape and
+// the JSON document. An instrument that exists but never renders is a
+// silent observability hole: the code pays the bookkeeping cost and a
+// dashboard can never see it. The audit is registry-driven, so an
+// instrument added next month is covered the day it is registered,
+// with no test edit.
 import (
 	"bytes"
 	"encoding/json"
@@ -140,6 +142,8 @@ func TestEveryInstrumentRendersEverywhere(t *testing.T) {
 		}
 	}
 
+	checkServerInstruments(t, hs, names, scrapeText, jsonBody)
+
 	// Histograms additionally render quantile estimates in the summary
 	// (the Quantile-powered p50/p95/p99 columns).
 	for name, kind := range names {
@@ -158,6 +162,72 @@ func TestEveryInstrumentRendersEverywhere(t *testing.T) {
 			if !strings.Contains(line, col) {
 				t.Errorf("histogram %q summary line lacks %s: %q", name, col, line)
 			}
+		}
+	}
+}
+
+// serverFamilies lists the name prefixes under which rampserve groups
+// its instruments into one labelled family: requests_<route> renders as
+// rampserve_requests_total{route="<route>"} in the scrape and as
+// requests_total.<route> in the JSON document. Every other server
+// instrument renders as rampserve_<name> and a top-level JSON key.
+var serverFamilies = []struct{ prefix, family, label string }{
+	{"requests_", "requests_total", "route"},
+	{"responses_", "responses_total", "class"},
+	{"latency_us_", "latency_us", "route"},
+}
+
+// checkServerInstruments extends the audit to rampserve's own registry.
+// The stream publishes every instrument under its registry name; each
+// one that is not a pipeline instrument must also appear in the
+// Prometheus scrape and in the JSON document.
+func checkServerInstruments(t *testing.T, hs *httptest.Server, pipeline map[string]string, scrapeText string, jsonBody []byte) {
+	t.Helper()
+	resp, err := http.Get(hs.URL + "/v1/metrics/stream?window=50ms&n=1&format=ndjson")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var frame struct {
+		Delta obs.Snapshot `json:"delta"`
+	}
+	err = json.NewDecoder(resp.Body).Decode(&frame)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatalf("decode stream frame: %v", err)
+	}
+	server := registeredNames(frame.Delta)
+	for name := range pipeline {
+		delete(server, name)
+	}
+	if len(server) < 8 {
+		t.Fatalf("suspiciously few server instruments in the stream (%d): %v", len(server), server)
+	}
+	var doc map[string]any
+	if err := json.Unmarshal(jsonBody, &doc); err != nil {
+		t.Fatalf("decode /metrics JSON: %v", err)
+	}
+
+	for name, kind := range server {
+		series := "rampserve_" + name + " "
+		inJSON := doc[name] != nil
+		for _, f := range serverFamilies {
+			rest, ok := strings.CutPrefix(name, f.prefix)
+			if !ok {
+				continue
+			}
+			suffix := ""
+			if kind == "histogram" {
+				suffix = "_count"
+			}
+			series = fmt.Sprintf("rampserve_%s%s{%s=%q}", f.family, suffix, f.label, rest)
+			group, _ := doc[f.family].(map[string]any)
+			inJSON = group[rest] != nil
+		}
+		if !strings.Contains(scrapeText, series) {
+			t.Errorf("server %s %q missing from the /metrics?format=prom scrape (want %s)", kind, name, series)
+		}
+		if !inJSON {
+			t.Errorf("server %s %q missing from the /metrics JSON document", kind, name)
 		}
 	}
 }

@@ -5,7 +5,8 @@
 # -h, runs a tiny real invocation of each batch tool (including a span
 # trace captured with -trace and validated with tracecheck), and drives
 # the rampserve service over HTTP: healthz, an evaluate request, metrics
-# in both JSON and Prometheus form, request-ID echo, then SIGTERM and a
+# in both JSON and Prometheus form, request-ID echo, a T_qual outside
+# the model's domain (400, no poisoned cache key), then SIGTERM and a
 # clean-drain exit check. Fast by construction (short runs, coarse
 # grids); CI runs it on every push.
 set -eu
@@ -138,6 +139,19 @@ grep -q 'rampserve_requests_total{route="evaluate"} 1' "${logdir}/metrics.prom"
 grep -q 'rampserve_latency_us_bucket{route="evaluate",le="+Inf"} 1' "${logdir}/metrics.prom"
 curl -sSf -H 'Accept: text/plain' "http://${addr}/metrics" \
 	| grep -q '# TYPE rampserve_uptime_seconds gauge'
+
+step "rampserve: T_qual outside the model's domain is a 400 that poisons no cache key"
+# A fresh configuration, so the rejected request would be the first to
+# reach its cache entry.
+status_of() {
+	curl -sS -o "$1" -w '%{http_code}' -X POST "http://${addr}/v1/evaluate" -d "$2"
+}
+code=$(status_of "${logdir}/tqual280.json" '{"app":"twolf","freq_hz":3.5e9,"tqual_k":280}')
+[ "${code}" = 400 ] || { echo "FAIL: tqual_k 280 returned ${code}, want 400" >&2; cat "${logdir}/tqual280.json" >&2; exit 1; }
+grep -q 'outside the qualification domain' "${logdir}/tqual280.json"
+code=$(status_of "${logdir}/tqual370.json" '{"app":"twolf","freq_hz":3.5e9,"tqual_k":370}')
+[ "${code}" = 200 ] || { echo "FAIL: tqual_k 370 after a rejected 280 returned ${code}, want 200" >&2; cat "${logdir}/tqual370.json" >&2; exit 1; }
+curl -sSf "http://${addr}/metrics" | grep -q '"buckets_le_us"'
 
 kill -TERM "${server_pid}"
 status=0
